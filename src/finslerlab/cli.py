@@ -21,7 +21,7 @@ import time
 import click
 import numpy as np
 
-from .abmetric import ABMetric
+from .abmetric import assemble
 from .classify import (
     Quadruple,
     circle_coords,
@@ -63,9 +63,15 @@ def _parse_k(text: str) -> tuple[float, float, float]:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise click.UsageError(f"--k expects three comma-separated numbers, got {text!r}")
-    if len(parts) != 3:
-        raise click.UsageError(f"--k expects three comma-separated numbers, got {text!r}")
+    if len(parts) != 3 or not all(math.isfinite(p) for p in parts):
+        raise click.UsageError(f"--k expects three comma-separated finite numbers, got {text!r}")
     return tuple(parts)
+
+
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
 
 
 def _default_threads() -> int:
@@ -76,18 +82,17 @@ def _default_threads() -> int:
 
 
 def _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr):
-    if alpha_expr or beta_expr:
-        if not (alpha_expr and beta_expr):
-            raise click.UsageError("--alpha-expr and --beta-expr must be given together")
-        from .phifuncs import phi_berwald, phi_randers, phi_riemannian
-
-        alpha = metric_from_exprs(alpha_expr, dim)
-        beta = oneform_from_exprs(beta_expr, dim)
-        phi = {"randers": phi_randers(), "berwald": phi_berwald(),
-               "riemannian": phi_riemannian()}[model if model in
-                                               ("randers", "berwald", "riemannian") else "randers"]
-        return ABMetric(alpha, beta, phi, name="custom")
+    if (alpha_expr or beta_expr) and not (alpha_expr and beta_expr):
+        raise click.UsageError("--alpha-expr and --beta-expr must be given together")
     try:
+        if alpha_expr:
+            from .phifuncs import phi_berwald, phi_randers, phi_riemannian
+
+            alpha = metric_from_exprs(alpha_expr, dim)
+            beta = oneform_from_exprs(beta_expr, dim)
+            phi = {"randers": phi_randers, "berwald": phi_berwald,
+                   "riemannian": phi_riemannian}.get(model, phi_randers)()
+            return assemble(alpha, beta, phi, name="custom")
         return build_model(model, dim, sigma=sigma, eps=eps, mu=mu, lam=lam)
     except (ValueError, FinslerError) as exc:
         raise click.UsageError(str(exc))
@@ -100,7 +105,8 @@ def main():
 
 _common = [
     click.option("--dim", default=3, show_default=True, help="Patch dimension."),
-    click.option("--samples", default=100, show_default=True, help="Sample count."),
+    click.option("--samples", default=100, show_default=True, type=click.IntRange(min=1),
+                 help="Sample count."),
     click.option("--seed", default=0, show_default=True, help="RNG seed."),
     click.option("--tol", default=1e-6, show_default=True, help="Residual tolerance."),
     click.option("--out", default=None, help="Write the JSON report here (default stdout)."),
@@ -121,12 +127,13 @@ def _add_common(fn):
 @click.option("--model", default="funk", show_default=True,
               help=f"One of {', '.join(MODEL_NAMES)} (or used with --alpha-expr/--beta-expr).")
 @click.option("--sigma", default=1.0, show_default=True, help="Family parameter sigma.")
-@click.option("--eps", default=2.0, show_default=True, help="Slope phi'(0).")
+@click.option("--eps", default=2.0, show_default=True, callback=_finite, help="Slope phi'(0).")
 @click.option("--mu", default=0.0, show_default=True, help="Space-form curvature.")
 @click.option("--lam", default=0.3, show_default=True, help="Conformal-form coefficient.")
 @click.option("--alpha-expr", default=None, help="Custom metric entries 'a11,..;..'.")
 @click.option("--beta-expr", default=None, help="Custom 1-form entries 'b1,..'.")
-@click.option("--step", default=1e-3, show_default=True, help="Geodesic RK4 step.")
+@click.option("--step", default=1e-3, show_default=True,
+              type=click.FloatRange(min=0, min_open=True), help="Geodesic RK4 step.")
 @click.option("--geodesics", "n_geo", default=10, show_default=True,
               help="Geodesic traces for the straightness check (0 skips).")
 @_add_common
@@ -160,7 +167,7 @@ def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
 
 @main.command()
 @click.option("--k", "k_text", required=True, help="k1,k2,k3 of the phi-ODE.")
-@click.option("--eps", default=0.0, show_default=True, help="Slope phi'(0).")
+@click.option("--eps", default=0.0, show_default=True, callback=_finite, help="Slope phi'(0).")
 @click.option("--out", default=None, help="Write the JSON report here (default stdout).")
 @click.option("--no-timestamp", is_flag=True, help="Omit wall-clock fields.")
 def classify(k_text, eps, out, no_timestamp):
@@ -204,15 +211,17 @@ def classify(k_text, eps, out, no_timestamp):
 @main.command()
 @click.option("--model", default="funk", show_default=True)
 @click.option("--sigma", default=1.0, show_default=True)
-@click.option("--eps", default=2.0, show_default=True)
+@click.option("--eps", default=2.0, show_default=True, callback=_finite)
 @click.option("--mu", default=0.0, show_default=True)
 @click.option("--lam", default=0.3, show_default=True)
 @click.option("--alpha-expr", default=None)
 @click.option("--beta-expr", default=None)
-@click.option("--batch", default=5, show_default=True, help="Number of random traces.")
+@click.option("--batch", default=5, show_default=True, type=click.IntRange(min=1),
+              help="Number of random traces.")
 @click.option("--x0", default=None, help="Start point 'x1,..,xn' (overrides --batch).")
 @click.option("--y0", default=None, help="Start velocity 'y1,..,yn'.")
-@click.option("--step", default=1e-3, show_default=True)
+@click.option("--step", default=1e-3, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @click.option("--stop-radius", default=0.9, show_default=True)
 @click.option("--max-steps", default=1000, show_default=True)
 @click.option("--svg", default=None, help="Write an SVG projection here.")
@@ -264,7 +273,7 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
 @main.command()
 @click.option("--model", default="berwald", show_default=True)
 @click.option("--sigma", default=1.0, show_default=True)
-@click.option("--eps", default=2.0, show_default=True)
+@click.option("--eps", default=2.0, show_default=True, callback=_finite)
 @click.option("--mu", default=0.0, show_default=True)
 @click.option("--lam", default=0.3, show_default=True)
 @click.option("--alpha-expr", default=None)
@@ -319,7 +328,7 @@ def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
 
 @main.command("phi")
 @click.option("--k", "k_text", default=None, help="k1,k2,k3 (quadrature solution).")
-@click.option("--eps", default=0.0, show_default=True)
+@click.option("--eps", default=0.0, show_default=True, callback=_finite)
 @click.option("--family", type=click.Choice(["sigma", "rp"]), default=None,
               help="Closed family instead of quadrature.")
 @click.option("--sigma", default=1.0, show_default=True)

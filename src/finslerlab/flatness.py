@@ -4,9 +4,16 @@ A metric is projectively flat on an open set iff F_{x^k y^l} = F_{x^l y^k}
 (equivalently F_{x^k y^l} y^k = F_{x^l}), in which case the spray collapses
 to G^i = P y^i with P = F_{x^k} y^k / (2F) and the geodesics are straight
 lines.  The residuals below certify each of those statements independently:
-mixed partials via second-order jets, the spray from its structured formula,
-and the geodesics from a 4th-order Runge-Kutta integration of
-x' = y, y' = -2 G(x, y).
+the mixed partials, the spray from its structured formula, and the geodesics
+from a 4th-order Runge-Kutta integration of x' = y, y' = -2 G(x, y).
+
+The mixed partials need derivatives in x only.  For F = alpha phi(s), s =
+beta/alpha, the y-gradient has the closed form
+
+    F_{y^l} = phi a_{lj} y^j / alpha + phi' (b_l - s a_{lj} y^j / alpha),
+
+so F and F_y are evaluated on order-1 jets seeded on the n components of x:
+the gradient of F is F_{x^k} and that of F_{y^l} is F_{x^k y^l}.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .abmetric import ABMetric, F_eval, spray_ab
+from .abmetric import ABMetric, spray_ab
 from .errors import DomainError
-from .geometry import MetricField, OneFormField, covariant_derivative, spray_riemann
+from .geometry import MetricField, OneFormField, check_point, covariant_derivative, spray_riemann
 from .phifuncs import OdeParams
 
 __all__ = [
@@ -39,27 +46,36 @@ __all__ = [
 ]
 
 
-def _second_order(m: ABMetric, x, y):
-    """F plus its (x,y)-gradient and Hessian blocks at (x, y), batched."""
-    x = np.asarray(x, dtype=float)
+def _mixed_partials(m: ABMetric, x, y):
+    """F, F_{x^k} and F_{x^k y^l} at (x, y), batched, from order-1 x-jets."""
+    x = check_point(m.alpha, x)
     y = np.asarray(y, dtype=float)
-    n = m.dim
-    jx, jy = jets.seed_pair(x, y, order=2)
-    f = F_eval(m, jx, jy)
-    fx = f.g[..., :n]
-    mixed = f.h[..., :n, n:]  # F_{x^k y^l}
-    return f.val, fx, mixed
+    if np.any(np.sum(y * y, axis=-1) == 0.0):
+        raise DomainError("F is only defined for nonzero tangent vectors")
+    jx = jets.seed(x, order=1)
+    a = m.alpha.matrix(jx)
+    b = m.beta.covector(jx)
+    ay = (a * y[..., None, :]).sum(-1)  # a_lj y^j
+    al = jets.sqrt(jets.dot_last(ay, y))
+    s = jets.dot_last(b, y) / al
+    ph, dph, ddph = m.phi.values(s.val)
+    phi = s.chain(ph, dph)
+    dphi = s.chain(dph, ddph)
+    f = al * phi
+    u = ay / al[..., None]
+    fy = phi[..., None] * u + dphi[..., None] * (b - s[..., None] * u)
+    return f.val, f.g, np.swapaxes(fy.g, -1, -2)
 
 
 def hamel_residual(m: ABMetric, x, y):
     """max over (k,l) of |F_{x^k y^l} - F_{x^l y^k}|."""
-    _, _, mixed = _second_order(m, x, y)
+    _, _, mixed = _mixed_partials(m, x, y)
     return np.max(np.abs(mixed - np.swapaxes(mixed, -1, -2)), axis=(-2, -1))
 
 
 def rapcsak_residual(m: ABMetric, x, y):
     """max over l of |F_{x^k y^l} y^k - F_{x^l}|."""
-    _, fx, mixed = _second_order(m, x, y)
+    _, fx, mixed = _mixed_partials(m, x, y)
     y = np.asarray(y, dtype=float)
     res = np.einsum("...kl,...k->...l", mixed, y) - fx
     return np.max(np.abs(res), axis=-1)
@@ -67,7 +83,7 @@ def rapcsak_residual(m: ABMetric, x, y):
 
 def projective_factor(m: ABMetric, x, y):
     """P = F_{x^k} y^k / (2F)."""
-    f, fx, _ = _second_order(m, x, y)
+    f, fx, _ = _mixed_partials(m, x, y)
     y = np.asarray(y, dtype=float)
     return np.einsum("...k,...k->...", fx, y) / (2.0 * f)
 
@@ -107,7 +123,9 @@ def integrate_geodesics(m, x0, y0, stop_radius: float, step: float,
     """Classical RK4 on a batch of initial conditions, integrated in lockstep.
 
     Traces freeze once they cross ``stop_radius`` (flagged) or after
-    ``max_steps`` steps.  Returns a list of GeodesicTrace.
+    ``max_steps`` steps; the spray is evaluated on the active lanes only, so
+    a frozen lane's stage points never reach the domain guard.  Returns a
+    list of GeodesicTrace.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -128,14 +146,13 @@ def integrate_geodesics(m, x0, y0, stop_radius: float, step: float,
     for it in range(max_steps):
         if not active.any():
             break
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
-        k3x, k3y = rhs(x + 0.5 * step * k2x, y + 0.5 * step * k2y)
-        k4x, k4y = rhs(x + step * k3x, y + step * k3y)
-        xn = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        yn = y + (step / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        x = np.where(active[:, None], xn, x)
-        y = np.where(active[:, None], yn, y)
+        xa, ya = x[active], y[active]
+        k1x, k1y = rhs(xa, ya)
+        k2x, k2y = rhs(xa + 0.5 * step * k1x, ya + 0.5 * step * k1y)
+        k3x, k3y = rhs(xa + 0.5 * step * k2x, ya + 0.5 * step * k2y)
+        k4x, k4y = rhs(xa + step * k3x, ya + step * k3y)
+        x[active] = xa + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y[active] = ya + (step / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         xs.append(x.copy())
         ys.append(y.copy())
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
@@ -265,10 +282,9 @@ def verify_flatness(m: ABMetric, samples: int = 100, seed: int = 0,
     ys = sample_sphere(rng, m.dim, samples)
 
     def work(xc, yc):
-        _, fx, mixed = _second_order(m, xc, yc)
+        f, fx, mixed = _mixed_partials(m, xc, yc)
         h = np.max(np.abs(mixed - np.swapaxes(mixed, -1, -2)), axis=(-2, -1))
         r = np.max(np.abs(np.einsum("...kl,...k->...l", mixed, yc) - fx), axis=-1)
-        f = F_eval(m, xc, yc)
         p = np.einsum("...k,...k->...", fx, yc) / (2.0 * f)
         g = spray_ab(m, xc, yc)
         dev = np.max(np.abs(g - p[..., None] * yc), axis=-1) / (np.max(np.abs(g), axis=-1) + 1.0)

@@ -3,13 +3,15 @@
 JSON reports carry a schema version and echo the configuration; floats are
 serialized through repr (shortest round-trip, up to 17 significant digits),
 so identical runs produce byte-identical files once wall-clock fields are
-omitted.
+omitted.  Reports are strict JSON: a non-finite residual is written as null
+and fails its check, and writing any other NaN or infinity is an error.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -40,11 +42,12 @@ def make_report(command: str, config: dict, checks: list[dict],
 
 
 def check_entry(name: str, max_residual: float, tolerance: float) -> dict:
+    finite = math.isfinite(max_residual)
     return {
         "name": name,
-        "max_residual": float(max_residual),
+        "max_residual": float(max_residual) if finite else None,
         "tolerance": float(tolerance),
-        "pass": bool(max_residual <= tolerance),
+        "pass": bool(finite and max_residual <= tolerance),
     }
 
 
@@ -66,7 +69,7 @@ def _plain(obj):
 
 
 def write_json(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,9 +1,10 @@
 """Independent oracles and random-field generators shared by the tests.
 
 Everything here deliberately avoids the library's analytic-derivative paths:
-derivatives come from central finite differences, integrals from scipy's
-adaptive quadrature, and ODE solutions from a Taylor recurrence, so agreement
-with the package is a genuine cross-check.
+derivatives come from central finite differences or from generic order-2
+jets over the joint (x, y) seeds, integrals from scipy's adaptive quadrature,
+and ODE solutions from a Taylor recurrence, so agreement with the package is
+a genuine cross-check.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from finslerlab import jets
+from finslerlab.abmetric import F_eval
 from finslerlab.geometry import MetricField, OneFormField
 
 FD_STEP = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
@@ -41,6 +43,22 @@ def fd_oneform_grad(cov, x, h=None):
         e[j] = hj
         out[:, j] = (cov(x + e) - cov(x - e)) / (2.0 * hj)
     return out
+
+
+def second_order_partials(m, x, y):
+    """F, F_{x^k} and F_{x^k y^l} from order-2 jets over the 2n seeds (x, y).
+
+    Carries the whole (2n)^2 Hessian of F, so it does not rely on the
+    closed-form y-gradient of an (alpha, beta)-metric.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = m.dim
+    jx, jy = jets.seed_pair(x, y, order=2)
+    f = F_eval(m, jx, jy)
+    fx = f.g[..., :n]
+    mixed = f.h[..., :n, n:]  # F_{x^k y^l}
+    return f.val, fx, mixed
 
 
 def fd_christoffel(a: MetricField, x):

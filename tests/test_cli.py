@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from finslerlab.cli import main
+from finslerlab.report import check_entry
 
 
 @pytest.fixture()
@@ -46,6 +47,39 @@ def test_verify_custom_expression_witness(runner):
         "--alpha-expr", "1,0;0,1", "--beta-expr", "0, 0.5*x1",
         "--samples", "20", "--geodesics", "0", "--no-timestamp"])
     assert res.exit_code == 1  # non-closed witness is not projectively flat
+
+
+def test_verify_custom_pair_fails_regularity_gate(runner):
+    # ||beta|| = 5 under the Randers phi: F is not a Finsler metric
+    res = runner.invoke(main, [
+        "verify", "--dim", "2", "--alpha-expr", "1,0;0,1", "--beta-expr", "0,5",
+        "--samples", "20", "--geodesics", "0", "--no-timestamp"])
+    assert res.exit_code == 2
+    assert "sup ||beta||" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--samples", "0"],
+    ["verify", "--step", "0"],
+    ["geodesics", "--batch", "0"],
+    ["geodesics", "--step", "0"],
+    ["classify", "--k", "nan,0,0"],
+    ["classify", "--k", "0,inf,0"],
+    ["classify", "--k", "0,0,0", "--eps", "nan"],
+    ["verify", "--eps", "inf"],
+])
+def test_bad_numeric_options_are_usage_errors(runner, args):
+    res = runner.invoke(main, args + ["--no-timestamp"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_check_entry_non_finite_residual_fails_as_null():
+    for value in (float("nan"), float("inf")):
+        entry = check_entry("hamel", value, 1e-6)
+        assert entry["pass"] is False and entry["max_residual"] is None
+        json.dumps(entry, allow_nan=False)
+    assert check_entry("hamel", 1e-9, 1e-6)["pass"] is True
 
 
 def test_verify_bad_model_usage_error(runner):

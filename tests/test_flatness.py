@@ -6,6 +6,7 @@ import pytest
 from finslerlab.abmetric import ABMetric
 from finslerlab.errors import DomainError
 from finslerlab.flatness import (
+    _mixed_partials,
     hamel_residual,
     integrate_geodesic,
     integrate_geodesics,
@@ -20,12 +21,15 @@ from finslerlab.flatness import (
 )
 from finslerlab.geometry import MetricField, OneFormField, constant_oneform, euclidean_metric
 from finslerlab.models import (
+    MODEL_NAMES,
     berwald_metric,
+    build_model,
     funk_metric,
     riemannian_ab,
     space_form_metric,
 )
 from finslerlab.phifuncs import OdeParams, phi_randers
+from oracles import second_order_partials
 
 
 def minkowski_metric(n=3):
@@ -46,6 +50,35 @@ def perturbed_funk():
         return funk.alpha.matrix(x) * (1.0 + 0.1 * x[..., 0])[..., None, None]
 
     return ABMetric(MetricField(3, mat, domain_radius=1.0), funk.beta, phi_randers())
+
+
+ORACLE_CASES = [pytest.param(lambda name=name: build_model(name, 3), id=name)
+                for name in MODEL_NAMES] + [
+    pytest.param(lambda: build_model("example63-plus", 4), id="example63-plus-d4"),
+    pytest.param(nonflat_witness, id="witness"),
+    pytest.param(perturbed_funk, id="perturbed-funk"),
+]
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES)
+def test_mixed_partials_match_order2_oracle(make):
+    # the closed-form F_y on order-1 x-jets against the full (2n)^2 Hessian
+    m = make()
+    rng = np.random.default_rng(7)
+    radius = m.domain_radius if np.isfinite(m.domain_radius) else 1.0
+    xs = sample_ball(rng, m.dim, 200, 0.8 * radius)
+    ys = sample_sphere(rng, m.dim, 200)
+    for got, want in zip(_mixed_partials(m, xs, ys), second_order_partials(m, xs, ys)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_mixed_partials_guard_domain_and_zero_vector():
+    funk = funk_metric(3)
+    with pytest.raises(DomainError):
+        _mixed_partials(funk, np.array([1.1, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DomainError):
+        _mixed_partials(funk, np.zeros(3), np.zeros(3))
 
 
 def test_hamel_funk_point():
@@ -165,6 +198,22 @@ def test_rk4_order_by_step_halving():
     e1 = np.linalg.norm(endpoint(4e-3) - ref)
     e2 = np.linalg.norm(endpoint(2e-3) - ref)
     assert 8.0 < e1 / e2 < 32.0
+
+
+def test_frozen_lanes_do_not_trip_the_domain_guard():
+    # lanes that start near the stop radius freeze within a few steps; their
+    # RK4 stage points used to leave the unit ball and fail the whole batch
+    bw = berwald_metric(3)
+    frozen = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        xs = sample_ball(rng, 3, 10, 0.88)
+        ys = sample_sphere(rng, 3, 10)
+        traces = integrate_geodesics(bw, xs, ys, 0.9, 1e-3, max_steps=150)
+        assert len(traces) == 10
+        assert all(np.linalg.norm(t.points[-1]) < 1.0 for t in traces)
+        frozen += sum(t.left_domain for t in traces)
+    assert frozen > 0
 
 
 def test_integrate_rejects_bad_input():
