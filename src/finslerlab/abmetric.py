@@ -31,6 +31,7 @@ from .geometry import (
     covariant_derivative,
     inverse_metric,
     norm_b,
+    sample_ball,
     spray_riemann,
 )
 from .phifuncs import PhiSpec, regularity_check
@@ -80,7 +81,7 @@ def assemble(alpha: MetricField, beta: OneFormField, phi: PhiSpec, name: str = "
         return m
     rng = np.random.default_rng(seed)
     radius = alpha.domain_radius if math.isfinite(alpha.domain_radius) else 1.0
-    pts = _ball_points(rng, alpha.dim, samples, 0.95 * radius)
+    pts = sample_ball(rng, alpha.dim, samples, 0.95 * radius)
     bmax = float(np.max(norm_b(alpha, beta, pts)))
     if bmax >= phi.b0:
         raise RegularityError(f"sup ||beta|| = {bmax:.6g} >= phi validity b0 = {phi.b0:.6g}")
@@ -91,13 +92,6 @@ def assemble(alpha: MetricField, beta: OneFormField, phi: PhiSpec, name: str = "
                 f"regularity fails at b0={bmax:.6g}: min margin {report.min_margin:.3g}, "
                 f"min phi {report.min_phi:.3g}")
     return m
-
-
-def _ball_points(rng, n, count, radius):
-    y = rng.standard_normal((count, n))
-    y /= np.linalg.norm(y, axis=-1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / n)
-    return y * r[:, None]
 
 
 def F_eval(m: ABMetric, x, y):
@@ -231,40 +225,23 @@ def randers_from_navigation(nav: NavigationData, name: str = "") -> ABMetric:
 
     n = nav.dim
 
-    def mat(x):
+    def wind(x):
+        """h_ij, W_i = h_ij W^j and lam = 1 - |W|_h^2."""
         h = nav.h.matrix(x)
         wup = nav.w(x)
-        wlow = (h * _expand(wup, -2)).sum(-1) if isinstance(h, jets.Jet) or isinstance(wup, jets.Jet) \
+        wlow = (h * jets.row(wup)).sum(-1) if isinstance(h, jets.Jet) or isinstance(wup, jets.Jet) \
             else np.einsum("...ij,...j->...i", h, wup)
-        w2 = jets.dot_last(wlow, wup)
-        lam = 1.0 - w2
-        outer = _expand(wlow, -1) * _expand(wlow, -2)
-        return (_expand2(lam) * h + outer) / _expand2(lam * lam)
+        return h, wlow, 1.0 - jets.dot_last(wlow, wup)
+
+    def mat(x):
+        h, wlow, lam = wind(x)
+        return (jets.e2(lam) * h + jets.outer(wlow, wlow)) / jets.e2(lam * lam)
 
     def cov(x):
-        h = nav.h.matrix(x)
-        wup = nav.w(x)
-        wlow = (h * _expand(wup, -2)).sum(-1) if isinstance(h, jets.Jet) or isinstance(wup, jets.Jet) \
-            else np.einsum("...ij,...j->...i", h, wup)
-        w2 = jets.dot_last(wlow, wup)
-        lam = 1.0 - w2
-        return -wlow / _expand1(lam)
+        _, wlow, lam = wind(x)
+        return -wlow / jets.col(lam)
 
     alpha = MetricField(n, mat, domain_radius=nav.h.domain_radius, name=f"{name}-alpha")
     beta = OneFormField(n, cov, name=f"{name}-beta")
     return ABMetric(alpha, beta, phi_randers(), name=name)
 
-
-def _expand(v, pos):
-    if isinstance(v, jets.Jet):
-        return v[..., None, :] if pos == -2 else v[..., :, None]
-    v = np.asarray(v)
-    return v[..., None, :] if pos == -2 else v[..., :, None]
-
-
-def _expand1(v):
-    return v[..., None] if isinstance(v, jets.Jet) else np.asarray(v)[..., None]
-
-
-def _expand2(v):
-    return v[..., None, None] if isinstance(v, jets.Jet) else np.asarray(v)[..., None, None]

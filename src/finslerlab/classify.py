@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .errors import PositivityError
-from .geometry import MetricField, OneFormField
+from .geometry import MetricField, OneFormField, pair_fields
 from .phifuncs import ExprPhi, OdeParams, PhiSpec, QuadraturePhi
 
 __all__ = [
@@ -320,44 +320,28 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
     arctan(sigma/sqrt(1-sigma^2))).
     """
     s = form.sigma
-
-    def fields(alpha_of, beta_of):
-        def mat(x):
-            av = abar.matrix(x)
-            bv = bbar.covector(x)
-            t = jets.dot_last(jets.solve(av, bv), bv)
-            return alpha_of(av, bv, t)
-
-        def cov(x):
-            av = abar.matrix(x)
-            bv = bbar.covector(x)
-            t = jets.dot_last(jets.solve(av, bv), bv)
-            return beta_of(bv, t)
-
-        return (MetricField(abar.dim, mat, domain_radius=abar.domain_radius,
-                            name=f"canonical-{form.kind}"),
-                OneFormField(bbar.dim, cov, name=f"canonical-{form.kind}"))
+    tag = f"canonical-{form.kind}"
 
     if form.kind == "d1-positive":
         def alpha_of(av, bv, t):
             lam = 1.0 - t
             _pos(lam, "1 - bbar^2")
-            outer = _col(bv) * _row(bv)
-            return _e2(jets.power(lam, -2.0 * s - 1.0)) * (av + outer / _e2(lam))
+            outer = jets.outer(bv, bv)
+            return jets.e2(jets.power(lam, -2.0 * s - 1.0)) * (av + outer / jets.e2(lam))
 
         def beta_of(bv, t):
-            return _e1(jets.power(1.0 - t, -s - 1.0)) * bv
+            return jets.col(jets.power(1.0 - t, -s - 1.0)) * bv
 
-        return fields(alpha_of, beta_of)
+        return pair_fields(abar, bbar, alpha_of, beta_of, tag)
 
     if form.kind == "d1-zero":
         def alpha_of(av, bv, t):
-            return _e2(jets.exp(2.0 * s * t)) * av
+            return jets.e2(jets.exp(2.0 * s * t)) * av
 
         def beta_of(bv, t):
-            return _e1(jets.exp(s * t)) * bv
+            return jets.col(jets.exp(s * t)) * bv
 
-        return fields(alpha_of, beta_of)
+        return pair_fields(abar, bbar, alpha_of, beta_of, tag)
 
     root = math.sqrt(1.0 - s * s)
 
@@ -368,37 +352,21 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
         d = 1.0 + 2.0 * s * t + t * t
         _pos(d, "1 + 2 sigma bbar^2 + bbar^4")
         coef = (2.0 * s + t) / d
-        outer = _col(bv) * _row(bv)
+        outer = jets.outer(bv, bv)
         pref = prefactor(t) * jets.power(d, -0.25)
-        return _e2(pref * pref) * (av - _e2(coef) * outer)
+        return jets.e2(pref * pref) * (av - jets.e2(coef) * outer)
 
     def beta_of(bv, t):
         d = 1.0 + 2.0 * s * t + t * t
-        return _e1(prefactor(t) * jets.power(d, -0.75)) * bv
+        return jets.col(prefactor(t) * jets.power(d, -0.75)) * bv
 
-    return fields(alpha_of, beta_of)
+    return pair_fields(abar, bbar, alpha_of, beta_of, tag)
 
 
 def _pos(v, label):
     val = jets.asarray_value(v)
     if np.any(val <= 0.0):
         raise PositivityError(f"{label} lost positivity")
-
-
-def _col(u):
-    return u[..., :, None] if isinstance(u, jets.Jet) else np.asarray(u)[..., :, None]
-
-
-def _row(u):
-    return u[..., None, :] if isinstance(u, jets.Jet) else np.asarray(u)[..., None, :]
-
-
-def _e1(u):
-    return u[..., None] if isinstance(u, jets.Jet) else np.asarray(u)[..., None]
-
-
-def _e2(u):
-    return u[..., None, None] if isinstance(u, jets.Jet) else np.asarray(u)[..., None, None]
 
 
 def reversibilize(phi: PhiSpec):

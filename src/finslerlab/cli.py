@@ -7,8 +7,8 @@ geodesics (trace export), deform (chain round-trip diagnostics), phi
 
 Reports are JSON (schema 1); --no-timestamp omits the wall-clock fields
 (timestamp and timing) so identical configurations produce byte-identical
-files.  --threads (or FINSLERLAB_THREADS) sizes the sample-sweep worker
-pool; results are identical for any worker count.
+files.  On verify only, --threads (or FINSLERLAB_THREADS) sizes the
+sample-sweep worker pool; results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .phifuncs import (
 )
 from .report import (
     check_entry,
-    csv_to_stdout,
     make_report,
     svg_traces,
     write_csv,
@@ -58,14 +57,18 @@ from .report import (
 )
 
 
-def _parse_k(text: str) -> tuple[float, float, float]:
+def _parse_numbers(text: str, option: str, count: int) -> list[float]:
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
-        raise click.UsageError(f"--k expects three comma-separated numbers, got {text!r}")
-    if len(parts) != 3 or not all(math.isfinite(p) for p in parts):
-        raise click.UsageError(f"--k expects three comma-separated finite numbers, got {text!r}")
-    return tuple(parts)
+        parts = []
+    if len(parts) != count or not all(math.isfinite(p) for p in parts):
+        raise click.UsageError(f"{option} expects {count} comma-separated finite numbers, got {text!r}")
+    return parts
+
+
+def _parse_k(text: str) -> tuple[float, float, float]:
+    return tuple(_parse_numbers(text, "--k", 3))
 
 
 def _finite(ctx, param, value):
@@ -98,6 +101,14 @@ def _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr):
         raise click.UsageError(str(exc))
 
 
+def _deviations(traces):
+    """Straightness of each trace; one stopped before its second step cannot be measured."""
+    if any(len(t.times) < 3 for t in traces):
+        raise click.UsageError("a geodesic reached the stop radius within one step: "
+                               "start it further inside or use a smaller --step")
+    return [straightness_deviation(t) for t in traces]
+
+
 @click.group()
 def main():
     """Numerical toolkit for projectively flat (alpha,beta)-metrics."""
@@ -105,13 +116,9 @@ def main():
 
 _common = [
     click.option("--dim", default=3, show_default=True, help="Patch dimension."),
-    click.option("--samples", default=100, show_default=True, type=click.IntRange(min=1),
-                 help="Sample count."),
     click.option("--seed", default=0, show_default=True, help="RNG seed."),
     click.option("--tol", default=1e-6, show_default=True, help="Residual tolerance."),
     click.option("--out", default=None, help="Write the JSON report here (default stdout)."),
-    click.option("--threads", default=None, type=int,
-                 help="Worker pool size (default FINSLERLAB_THREADS or 1)."),
     click.option("--no-timestamp", is_flag=True,
                  help="Omit timestamp and timing for byte-stable reports."),
 ]
@@ -121,6 +128,10 @@ def _add_common(fn):
     for opt in reversed(_common):
         fn = opt(fn)
     return fn
+
+
+_samples = click.option("--samples", default=100, show_default=True, type=click.IntRange(min=1),
+                        help="Sample count.")
 
 
 @main.command()
@@ -133,9 +144,13 @@ def _add_common(fn):
 @click.option("--alpha-expr", default=None, help="Custom metric entries 'a11,..;..'.")
 @click.option("--beta-expr", default=None, help="Custom 1-form entries 'b1,..'.")
 @click.option("--step", default=1e-3, show_default=True,
-              type=click.FloatRange(min=0, min_open=True), help="Geodesic RK4 step.")
+              type=click.FloatRange(min=0, max=0.5, min_open=True),
+              help="Geodesic RK4 step; traces run min(1000, 1/step) steps, so at most 0.5.")
 @click.option("--geodesics", "n_geo", default=10, show_default=True,
               help="Geodesic traces for the straightness check (0 skips).")
+@_samples
+@click.option("--threads", default=None, type=int,
+              help="Worker pool size (default FINSLERLAB_THREADS or 1).")
 @_add_common
 def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
            dim, samples, seed, tol, out, threads, no_timestamp):
@@ -156,7 +171,7 @@ def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
         ys = sample_sphere(rng, dim, n_geo)
         traces = integrate_geodesics(m, xs, ys, 0.9 * radius, step,
                                      max_steps=min(1000, int(1.0 / step)))
-        dev = max(straightness_deviation(t) for t in traces)
+        dev = max(_deviations(traces))
         checks.append(check_entry("straightness", dev, tol))
     config = {"model": m.name, "dim": dim, "samples": samples, "seed": seed,
               "tol": tol, "step": step, "geodesics": n_geo, "threads": threads}
@@ -175,6 +190,9 @@ def classify(k_text, eps, out, no_timestamp):
     k1, k2, k3 = _parse_k(k_text)
     q = Quadruple(k1, k2, k3, eps)
     sig = invariants(q)
+    cx, cy = circle_coords(sig)
+    if not all(math.isfinite(v) for v in (sig.d1, sig.d2, sig.d3, cx, cy)):
+        raise click.UsageError(f"--k {k_text!r} is too large: its invariants overflow")
     named = {
         "riemannian": Quadruple(0.0, 0.0, 0.0, 0.0),
         "randers": Quadruple(0.0, 0.0, 0.0, 1.0),
@@ -195,7 +213,6 @@ def classify(k_text, eps, out, no_timestamp):
                              "recipe": [[step, float(val)] for step, val in recipe]}
     except ValueError as exc:
         result["reduced"] = {"error": str(exc)}
-    cx, cy = circle_coords(sig)
     on_circle = (abs(cx * cx + (cy - 1.0) ** 2 - 1.0) < 1e-9
                  or abs(cx * cx + (cy + 1.0) ** 2 - 1.0) < 1e-9
                  or (cx == 0.0 and cy == 0.0))
@@ -223,7 +240,7 @@ def classify(k_text, eps, out, no_timestamp):
 @click.option("--step", default=1e-3, show_default=True,
               type=click.FloatRange(min=0, min_open=True))
 @click.option("--stop-radius", default=0.9, show_default=True)
-@click.option("--max-steps", default=1000, show_default=True)
+@click.option("--max-steps", default=1000, show_default=True, type=click.IntRange(min=2))
 @click.option("--svg", default=None, help="Write an SVG projection here.")
 @click.option("--trace-dir", default=None, help="Write per-trace CSV files here.")
 @click.option("--require-straight", is_flag=True,
@@ -231,7 +248,7 @@ def classify(k_text, eps, out, no_timestamp):
 @_add_common
 def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
               step, stop_radius, max_steps, svg, trace_dir, require_straight,
-              dim, samples, seed, tol, out, threads, no_timestamp):
+              dim, seed, tol, out, no_timestamp):
     """Integrate geodesics and measure their deviation from straight chords."""
     t0 = time.perf_counter()
     m = _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr)
@@ -239,16 +256,18 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
     if x0 is not None or y0 is not None:
         if not (x0 and y0):
             raise click.UsageError("--x0 and --y0 must be given together")
-        xs = np.array([[float(v) for v in x0.split(",")]])
-        ys = np.array([[float(v) for v in y0.split(",")]])
-        if xs.shape[1] != dim or ys.shape[1] != dim:
-            raise click.UsageError("--x0/--y0 must have --dim components")
+        xs = np.array([_parse_numbers(x0, "--x0", dim)])
+        ys = np.array([_parse_numbers(y0, "--y0", dim)])
+        if np.linalg.norm(xs) >= stop_radius:
+            raise click.UsageError(f"--x0 must lie inside --stop-radius {stop_radius:g}")
+        if not np.any(ys):
+            raise click.UsageError("--y0 must be a nonzero vector")
     else:
         radius = m.domain_radius if math.isfinite(m.domain_radius) else 1.0
         xs = sample_ball(rng, dim, batch, 0.4 * radius)
         ys = sample_sphere(rng, dim, batch)
     traces = integrate_geodesics(m, xs, ys, stop_radius, step, max_steps=max_steps)
-    devs = [straightness_deviation(t) for t in traces]
+    devs = _deviations(traces)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
         for i, tr in enumerate(traces):
@@ -279,9 +298,10 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
 @click.option("--alpha-expr", default=None)
 @click.option("--beta-expr", default=None)
 @click.option("--k", "k_text", required=True, help="k1,k2,k3 driving the chain.")
+@_samples
 @_add_common
 def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
-           dim, samples, seed, tol, out, threads, no_timestamp):
+           dim, samples, seed, tol, out, no_timestamp):
     """Run the forward+inverse deformation chains and report the residuals."""
     t0 = time.perf_counter()
     k1, k2, k3 = _parse_k(k_text)
@@ -367,10 +387,7 @@ def phi_cmd(k_text, eps, family, sigma, r_text, p_text, grid, smax, quad_tol, ou
     margin = ph - ss * dph + (smax * smax - ss * ss) * ddph
     header = ["s", "phi", "dphi", "ddphi", "ode_residual", "margin"]
     rows = zip(ss, ph, dph, ddph, res, margin)
-    if out:
-        write_csv(out, header, rows)
-    else:
-        csv_to_stdout(header, rows)
+    write_csv(out, header, rows)
     sys.exit(0)
 
 

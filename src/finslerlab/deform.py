@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jets
 from .errors import PositivityError
-from .geometry import MetricField, OneFormField, covariant_derivative, spray_riemann
+from .geometry import MetricField, OneFormField, covariant_derivative, pair_fields, spray_riemann
 from .phifuncs import OdeParams, eta_core
 
 __all__ = [
@@ -92,98 +92,59 @@ class DeformChain:
     direction: str = "forward"
 
 
-def _b2(a_val, b_val):
-    return jets.dot_last(jets.solve(a_val, b_val), b_val)
-
-
-def _outer(u, v):
-    return _col(u) * _row(v)
-
-
-def _col(u):
-    return u[..., :, None] if isinstance(u, jets.Jet) else np.asarray(u)[..., :, None]
-
-
-def _row(u):
-    return u[..., None, :] if isinstance(u, jets.Jet) else np.asarray(u)[..., None, :]
-
-
-def _e1(u):
-    return u[..., None] if isinstance(u, jets.Jet) else np.asarray(u)[..., None]
-
-
-def _e2(u):
-    return u[..., None, None] if isinstance(u, jets.Jet) else np.asarray(u)[..., None, None]
-
-
 def _check_pos(v, label):
     val = jets.asarray_value(v)
     if np.any(val <= 0.0):
         raise PositivityError(f"{label} lost positivity (min {float(np.min(val)):.6g})")
 
 
-def deform_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor):
-    """a~_ij = a_ij - kappa(b^2) b_i b_j; the 1-form is unchanged."""
-
-    def mat(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
+def _stretched(kappa: ScalarFactor):
+    def alpha_of(av, bv, t):
         kv = kappa(t)
         _check_pos(1.0 - kv * t, "1 - kappa b^2")
-        return av - _e2(kv) * _outer(bv, bv)
+        return av - jets.e2(kv) * jets.outer(bv, bv)
 
-    return (MetricField(a.dim, mat, domain_radius=a.domain_radius, name=f"stretch({a.name})"), b)
+    return alpha_of
+
+
+def _rescaled(nu: ScalarFactor):
+    def beta_of(bv, t):
+        nv = nu(t)
+        _check_pos(nv, "nu")
+        return jets.col(nv) * bv
+
+    return beta_of
+
+
+def deform_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor):
+    """a~_ij = a_ij - kappa(b^2) b_i b_j; the 1-form is unchanged."""
+    return pair_fields(a, b, _stretched(kappa), None, "stretch")
 
 
 def deform_conformal(a: MetricField, b: OneFormField, rho: ScalarFactor):
     """a^_ij = e^(2 rho(b^2)) a_ij; the 1-form is unchanged."""
 
-    def mat(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        return _e2(jets.exp(2.0 * rho(t))) * av
+    def alpha_of(av, bv, t):
+        return jets.e2(jets.exp(2.0 * rho(t))) * av
 
-    return (MetricField(a.dim, mat, domain_radius=a.domain_radius, name=f"conf({a.name})"), b)
+    return pair_fields(a, b, alpha_of, None, "conf")
 
 
 def deform_rescale(a: MetricField, b: OneFormField, nu: ScalarFactor):
     """beta-_i = nu(b^2) b_i; the metric is unchanged."""
-
-    def cov(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        nv = nu(t)
-        _check_pos(nv, "nu")
-        return _e1(nv) * bv
-
-    return (a, OneFormField(b.dim, cov, name=f"rescale({b.name})"))
+    return pair_fields(a, b, None, _rescaled(nu), "rescale")
 
 
 def chain_pair(a: MetricField, b: OneFormField, kappa: ScalarFactor,
                rho: ScalarFactor, nu: ScalarFactor):
     """Full stretch+conformal+rescale composite, all factors at the original b^2."""
+    stretched = _stretched(kappa)
 
-    def mat(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        kv = kappa(t)
-        _check_pos(1.0 - kv * t, "1 - kappa b^2")
-        return _e2(jets.exp(2.0 * rho(t))) * (av - _e2(kv) * _outer(bv, bv))
+    def alpha_of(av, bv, t):
+        at = stretched(av, bv, t)
+        return jets.e2(jets.exp(2.0 * rho(t))) * at
 
-    def cov(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        nv = nu(t)
-        _check_pos(nv, "nu")
-        return _e1(nv) * bv
-
-    return (MetricField(a.dim, mat, domain_radius=a.domain_radius, name=f"chain({a.name})"),
-            OneFormField(b.dim, cov, name=f"chain({b.name})"))
+    return pair_fields(a, b, alpha_of, _rescaled(nu), "chain")
 
 
 # -- the standard factor choices ----------------------------------------------
@@ -201,8 +162,7 @@ def standard_factors(k: OdeParams) -> DeformChain:
         return -jets.log(eta_core(k1, k2, k3, t))
 
     def nu(t):
-        d = 1.0 + s * t + k2 * t * t
-        _check_pos(d, "1+(k1+k3)t+k2 t^2")
+        d = _checked_d(s, k2, t, "1+(k1+k3)t+k2 t^2")
         return jets.sqrt(d) / eta_core(k1, k2, k3, t)
 
     return DeformChain(ScalarFactor(kap, "kappa"), ScalarFactor(rho, "rho"),
@@ -223,57 +183,48 @@ def eta_factor(k: OdeParams, bbar2):
     return eta_core(k.k1, k.k2, k.k3, bbar2)
 
 
+def _checked_d(s, k2, t, label):
+    """D(t) = 1 + (k1+k3) t + k2 t^2, which must stay positive."""
+    d = 1.0 + s * t + k2 * t * t
+    _check_pos(d, label)
+    return d
+
+
 def forward_chain(a: MetricField, b: OneFormField, k: OdeParams):
     """(abar, bbar): abar_ij = eta^{-2} (a_ij + (k1+k3+k2 b^2) b_i b_j), bbar = eta^{-1} sqrt(D) beta."""
     k1, k2, k3 = k.k1, k.k2, k.k3
     s = k1 + k3
+    label = "1+(k1+k3)b^2+k2 b^4"
 
-    def mat(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        d = 1.0 + s * t + k2 * t * t
-        _check_pos(d, "1+(k1+k3)b^2+k2 b^4")
+    def alpha_of(av, bv, t):
+        _checked_d(s, k2, t, label)
         eta = eta_core(k1, k2, k3, t)
-        return (av + _e2(s + k2 * t) * _outer(bv, bv)) / _e2(eta * eta)
+        return (av + jets.e2(s + k2 * t) * jets.outer(bv, bv)) / jets.e2(eta * eta)
 
-    def cov(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        d = 1.0 + s * t + k2 * t * t
-        _check_pos(d, "1+(k1+k3)b^2+k2 b^4")
-        return _e1(jets.sqrt(d) / eta_core(k1, k2, k3, t)) * bv
+    def beta_of(bv, t):
+        d = _checked_d(s, k2, t, label)
+        return jets.col(jets.sqrt(d) / eta_core(k1, k2, k3, t)) * bv
 
-    return (MetricField(a.dim, mat, domain_radius=a.domain_radius, name=f"fwd({a.name})"),
-            OneFormField(b.dim, cov, name=f"fwd({b.name})"))
+    return pair_fields(a, b, alpha_of, beta_of, "fwd")
 
 
 def inverse_chain(abar: MetricField, bbar: OneFormField, k: OdeParams):
     """The closed-form inverse pair built pointwise from (abar, bbar, bbar^2)."""
     k1, k2, k3 = k.k1, k.k2, k.k3
     s = k1 + k3
+    label = "1+(k1+k3)bbar^2+k2 bbar^4"
 
-    def mat(x):
-        av = abar.matrix(x)
-        bv = bbar.covector(x)
-        t = _b2(av, bv)
-        d = 1.0 + s * t + k2 * t * t
-        _check_pos(d, "1+(k1+k3)bbar^2+k2 bbar^4")
+    def alpha_of(av, bv, t):
+        d = _checked_d(s, k2, t, label)
         eta = eta_core(k1, k2, k3, t)
         coef = (s + k2 * t) / d
-        return _e2(eta * eta) * (av - _e2(coef) * _outer(bv, bv))
+        return jets.e2(eta * eta) * (av - jets.e2(coef) * jets.outer(bv, bv))
 
-    def cov(x):
-        av = abar.matrix(x)
-        bv = bbar.covector(x)
-        t = _b2(av, bv)
-        d = 1.0 + s * t + k2 * t * t
-        _check_pos(d, "1+(k1+k3)bbar^2+k2 bbar^4")
-        return _e1(eta_core(k1, k2, k3, t) / jets.sqrt(d)) * bv
+    def beta_of(bv, t):
+        d = _checked_d(s, k2, t, label)
+        return jets.col(eta_core(k1, k2, k3, t) / jets.sqrt(d)) * bv
 
-    return (MetricField(abar.dim, mat, domain_radius=abar.domain_radius, name=f"inv({abar.name})"),
-            OneFormField(bbar.dim, cov, name=f"inv({bbar.name})"))
+    return pair_fields(abar, bbar, alpha_of, beta_of, "inv")
 
 
 def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
@@ -287,30 +238,20 @@ def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
         raise ValueError("direction must be 'forward' or 'inverse'")
     fwd = direction == "forward"
 
-    def mat(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
+    def lam_of(t):
         if fwd:
             _check_pos(1.0 - t, "1 - b^2")
-            lam = 1.0 - t
-        else:
-            lam = 1.0 + t
-        return _e2(lam * lam) * av
+            return 1.0 - t
+        return 1.0 + t
 
-    def cov(x):
-        av = a.matrix(x)
-        bv = b.covector(x)
-        t = _b2(av, bv)
-        if fwd:
-            _check_pos(1.0 - t, "1 - b^2")
-            lam = 1.0 - t
-        else:
-            lam = 1.0 + t
-        return _e1(jets.sqrt(lam)) * bv
+    def alpha_of(av, bv, t):
+        lam = lam_of(t)
+        return jets.e2(lam * lam) * av
 
-    return (MetricField(a.dim, mat, domain_radius=a.domain_radius, name=f"bw-{direction}({a.name})"),
-            OneFormField(b.dim, cov, name=f"bw-{direction}({b.name})"))
+    def beta_of(bv, t):
+        return jets.col(jets.sqrt(lam_of(t))) * bv
+
+    return pair_fields(a, b, alpha_of, beta_of, f"bw-{direction}")
 
 
 # -- stage-level predicted transforms ------------------------------------------
@@ -335,20 +276,19 @@ def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor
     rs_up = cov.r_up + cov.s_up
     r0s0 = cov.r0(y) + cov.s0(y)
     g = (g0
-         - _arr2(kv / (2.0 * one)) * (_arr2(2.0 * one * be) * cov.si0_up(y)
-                                      + _arr2(cov.r00(y)) * cov.b_up
-                                      + _arr2(2.0 * kv * cov.s0(y) * be) * cov.b_up)
-         + _arr2(kd / (2.0 * one)) * (_arr2(one * be * be) * rs_up
-                                      + _arr2(kv * cov.r * be * be) * cov.b_up
-                                      - _arr2(2.0 * r0s0 * be) * cov.b_up))
+         - jets.col(kv / (2.0 * one)) * (jets.col(2.0 * one * be) * cov.si0_up(y)
+                                         + jets.col(cov.r00(y)) * cov.b_up
+                                         + jets.col(2.0 * kv * cov.s0(y) * be) * cov.b_up)
+         + jets.col(kd / (2.0 * one)) * (jets.col(one * be * be) * rs_up
+                                         + jets.col(kv * cov.r * be * be) * cov.b_up
+                                         - jets.col(2.0 * r0s0 * be) * cov.b_up))
     bb = cov.b_low
     bij = (cov.bij
-           + _arr3(kv / one) * (_arr3(t) * cov.rij
-                                + bb[..., :, None] * cov.s_i[..., None, :]
-                                + cov.s_i[..., :, None] * bb[..., None, :])
-           - _arr3(kd / one) * (_arr3(cov.r) * bb[..., :, None] * bb[..., None, :]
-                                - _arr3(t) * (bb[..., :, None] * rs_low[..., None, :]
-                                              + rs_low[..., :, None] * bb[..., None, :])))
+           + jets.e2(kv / one) * (jets.e2(t) * cov.rij
+                                  + jets.outer(bb, cov.s_i)
+                                  + jets.outer(cov.s_i, bb))
+           - jets.e2(kd / one) * (jets.e2(cov.r) * bb[..., :, None] * bb[..., None, :]
+                                  - jets.e2(t) * (jets.outer(bb, rs_low) + jets.outer(rs_low, bb))))
     return g, bij
 
 
@@ -367,13 +307,13 @@ def predicted_after_conformal(a: MetricField, b: OneFormField, kappa: ScalarFact
     rs_up = cov.r_up + cov.s_up
     rs_low = cov.r_i + cov.s_i
     r0s0 = cov.r0(y) + cov.s0(y)
-    g = g_t + _arr2(rd) * (_arr2(2.0 * r0s0) * y
-                           - _arr2(al2 - kv * be * be) * (rs_up + _arr2(kv * cov.r / one) * cov.b_up))
+    g = g_t + jets.col(rd) * (jets.col(2.0 * r0s0) * y
+                              - jets.col(al2 - kv * be * be) * (rs_up + jets.col(kv * cov.r / one) * cov.b_up))
     bb = cov.b_low
-    a_tilde = cov.a0 - _arr3(kv) * bb[..., :, None] * bb[..., None, :]
-    bij = bij_t - _arr3(2.0 * rd) * (bb[..., :, None] * rs_low[..., None, :]
-                                     + rs_low[..., :, None] * bb[..., None, :]
-                                     - _arr3(cov.r / one) * a_tilde)
+    a_tilde = cov.a0 - jets.e2(kv) * bb[..., :, None] * bb[..., None, :]
+    bij = bij_t - jets.e2(2.0 * rd) * (jets.outer(bb, rs_low)
+                                       + jets.outer(rs_low, bb)
+                                       - jets.e2(cov.r / one) * a_tilde)
     return g, bij
 
 
@@ -385,13 +325,5 @@ def predicted_after_rescale(a: MetricField, b: OneFormField, kappa: ScalarFactor
     t = cov.b2
     nv, nd = nu(t), nu.deriv(t)
     rs_low = cov.r_i + cov.s_i
-    bij = _arr3(nv) * bij_h + _arr3(2.0 * nd) * cov.b_low[..., :, None] * rs_low[..., None, :]
+    bij = jets.e2(nv) * bij_h + jets.e2(2.0 * nd) * cov.b_low[..., :, None] * rs_low[..., None, :]
     return g_h, bij
-
-
-def _arr2(v):
-    return np.asarray(v)[..., None]
-
-
-def _arr3(v):
-    return np.asarray(v)[..., None, None]

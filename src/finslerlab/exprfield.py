@@ -99,7 +99,7 @@ def metric_from_exprs(src: str, dim: int, domain_radius: float = 1.0) -> MetricF
                     entry = 0.5 * (fns[i][j](x) + fns[j][i](x))
                 else:
                     entry = fns[i][j](x)
-                acc = _e2(entry) * e + acc
+                acc = jets.e2(entry) * e + acc
         return jets.lift(acc, x)
 
     return MetricField(dim, mat, domain_radius=domain_radius, name="custom")
@@ -116,19 +116,8 @@ def oneform_from_exprs(src: str, dim: int) -> OneFormField:
     def cov(x):
         acc = 0.0
         for i in range(dim):
-            acc = _e1(fns[i](x)) * basis[i] + acc
+            acc = jets.col(fns[i](x)) * basis[i] + acc
         return jets.lift(acc, x)
 
     return OneFormField(dim, cov, name="custom")
 
-
-def _e1(u):
-    if isinstance(u, jets.Jet):
-        return u[..., None]
-    return np.asarray(u, dtype=float)[..., None]
-
-
-def _e2(u):
-    if isinstance(u, jets.Jet):
-        return u[..., None, None]
-    return np.asarray(u, dtype=float)[..., None, None]

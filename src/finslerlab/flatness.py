@@ -26,7 +26,14 @@ import numpy as np
 from . import jets
 from .abmetric import ABMetric, spray_ab
 from .errors import DomainError
-from .geometry import MetricField, OneFormField, check_point, covariant_derivative, spray_riemann
+from .geometry import (
+    MetricField,
+    OneFormField,
+    check_point,
+    covariant_derivative,
+    sample_ball,
+    spray_riemann,
+)
 from .phifuncs import OdeParams
 
 __all__ = [
@@ -238,14 +245,6 @@ def structure_residual(a: MetricField, b: OneFormField, k: OdeParams, x,
 
 
 # -- sampling and the report-level driver --------------------------------------
-
-
-def sample_ball(rng, n: int, count: int, radius: float):
-    """Uniform points in the open ball of the given radius."""
-    y = rng.standard_normal((count, n))
-    y /= np.linalg.norm(y, axis=-1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / n)
-    return y * r[:, None]
 
 
 def sample_sphere(rng, n: int, count: int):

@@ -52,13 +52,7 @@ def euclidean_metric(n: int) -> MetricField:
 
     def mat(x):
         v = jets.asarray_value(x)
-        out = np.broadcast_to(eye, v.shape[:-1] + (n, n))
-        if isinstance(x, jets.Jet):
-            m = x.nseeds
-            g = np.zeros(out.shape + (m,))
-            h = np.zeros(out.shape + (m, m)) if x.h is not None else None
-            return jets.Jet(out, g, h)
-        return out
+        return jets.lift(np.broadcast_to(eye, v.shape[:-1] + (n, n)), x)
 
     return MetricField(n, mat, name="euclidean")
 
@@ -69,15 +63,44 @@ def constant_oneform(coeffs) -> OneFormField:
 
     def cov(x):
         v = jets.asarray_value(x)
-        out = np.broadcast_to(coeffs, v.shape[:-1] + (n,))
-        if isinstance(x, jets.Jet):
-            m = x.nseeds
-            g = np.zeros(out.shape + (m,))
-            h = np.zeros(out.shape + (m, m)) if x.h is not None else None
-            return jets.Jet(out, g, h)
-        return out
+        return jets.lift(np.broadcast_to(coeffs, v.shape[:-1] + (n,)), x)
 
     return OneFormField(n, cov, name="constant")
+
+
+def pair_fields(a: MetricField, b: OneFormField, alpha_of, beta_of, tag: str):
+    """The fields of a pointwise map of the pair (a_ij, b_i) driven by t = ||b||^2.
+
+    ``alpha_of(a_ij, b_i, t)`` gives the new metric and ``beta_of(b_i, t)`` the
+    new 1-form, on arrays or jets alike.  Each closure evaluates (a_ij, b_i, t)
+    once per call.  A side given as None passes its input field through as the
+    same object.  Returns (MetricField, OneFormField) named ``tag(<input>)``.
+    """
+
+    def pair(x):
+        av = a.matrix(x)
+        bv = b.covector(x)
+        return av, bv, jets.dot_last(jets.solve(av, bv), bv)
+
+    def mat(x):
+        return alpha_of(*pair(x))
+
+    def cov(x):
+        _, bv, t = pair(x)
+        return beta_of(bv, t)
+
+    alpha = a if alpha_of is None else MetricField(a.dim, mat, domain_radius=a.domain_radius,
+                                                   name=f"{tag}({a.name})")
+    beta = b if beta_of is None else OneFormField(b.dim, cov, name=f"{tag}({b.name})")
+    return alpha, beta
+
+
+def sample_ball(rng, n: int, count: int, radius: float):
+    """Uniform points in the open ball of the given radius."""
+    y = rng.standard_normal((count, n))
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    r = radius * rng.random(count) ** (1.0 / n)
+    return y * r[:, None]
 
 
 def check_point(fld, x):
@@ -194,13 +217,3 @@ def norm_b(a: MetricField, b: OneFormField, x):
     b2 = np.einsum("...ij,...i,...j->...", ainv, b0, b0)
     return np.sqrt(np.maximum(b2, 0.0))
 
-
-def norm_b2_field(a: MetricField, b: OneFormField):
-    """Jet-transparent closure x -> ||b||^2 w.r.t. ``a`` (used by deformations)."""
-
-    def b2(x):
-        a_val = a.matrix(x)
-        b_val = b.covector(x)
-        return jets.dot_last(jets.solve(a_val, b_val), b_val)
-
-    return b2

@@ -33,6 +33,10 @@ __all__ = [
     "vecsolve",
     "quad_form",
     "dot_last",
+    "col",
+    "row",
+    "e2",
+    "outer",
 ]
 
 
@@ -259,6 +263,29 @@ def power(x, p):
     return x ** p
 
 
+# -- shape helpers (Jet, ndarray or float) -------------------------------------
+
+
+def col(u):
+    """``u[..., None]``: a vector as a column, or a scalar field scaling a vector."""
+    return u[..., None] if isinstance(u, Jet) else _as_nd(u)[..., None]
+
+
+def row(u):
+    """``u[..., None, :]``: u as the row of a matrix."""
+    return u[..., None, :] if isinstance(u, Jet) else _as_nd(u)[..., None, :]
+
+
+def e2(u):
+    """``u[..., None, None]``: a scalar field scaling a matrix."""
+    return u[..., None, None] if isinstance(u, Jet) else _as_nd(u)[..., None, None]
+
+
+def outer(u, v):
+    """u_i v_j over the last axis of each."""
+    return col(u) * row(v)
+
+
 def asarray_value(x):
     """Value part of a Jet, or the array itself."""
     return x.val if isinstance(x, Jet) else _as_nd(x)
@@ -286,17 +313,8 @@ def dot_last(u, v):
 def quad_form(a, y):
     """y^T a y over the two trailing matrix axes."""
     if isinstance(a, Jet) or isinstance(y, Jet):
-        ay = a * _expand(y, -2)      # a_ij * y_j
-        return (ay * _expand(y, -1)).sum((-2, -1))
+        return (a * row(y) * col(y)).sum((-2, -1))
     return np.einsum("...ij,...i,...j->...", a, y, y)
-
-
-def _expand(y, pos):
-    """Insert an axis before the last (pos=-1) or before the one-but-last (pos=-2)."""
-    if isinstance(y, Jet):
-        return y[..., None, :] if pos == -2 else y[..., :, None]
-    y = _as_nd(y)
-    return y[..., None, :] if pos == -2 else y[..., :, None]
 
 
 # -- linear solves with jet coefficients --------------------------------------

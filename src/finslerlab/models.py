@@ -62,12 +62,12 @@ def _ball_pair(n: int, power: float):
     def mat(x):
         r2 = jets.dot_last(x, x)
         lam = 1.0 - r2
-        outer = _col(x) * _row(x)
-        return (_e2(lam) * eye + outer) * _e2(jets.power(lam, -2.0 * power))
+        outer = jets.outer(x, x)
+        return (jets.e2(lam) * eye + outer) * jets.e2(jets.power(lam, -2.0 * power))
 
     def cov(x):
         r2 = jets.dot_last(x, x)
-        return -x * _e1(jets.power(1.0 - r2, -power))
+        return -x * jets.col(jets.power(1.0 - r2, -power))
 
     return (MetricField(n, mat, domain_radius=1.0, name=f"ball-alpha[p={power:g}]"),
             OneFormField(n, cov, name=f"ball-beta[p={power:g}]"))
@@ -141,8 +141,8 @@ def space_form_metric(mu: float, n: int, working_radius: float = 1.0) -> MetricF
     def mat(x):
         r2 = jets.dot_last(x, x)
         den = 1.0 + mu * r2
-        outer = _col(x) * _row(x)
-        return (_e2(den) * eye - mu * outer) / _e2(den * den)
+        outer = jets.outer(x, x)
+        return (jets.e2(den) * eye - mu * outer) / jets.e2(den * den)
 
     radius = working_radius
     if mu < 0:
@@ -193,16 +193,16 @@ def conformal_field(params: ConformalFieldParams, n: int):
         root = jets.sqrt(1.0 + mu * r2)
         ax = jets.dot_last(x, av)
         bx = jets.dot_last(x, bv)
-        qx = (qm * _row(x)).sum(-1) if isinstance(x, jets.Jet) else np.einsum("ij,...j->...i", qm, x)
-        return (x * _e1(lam * root + ax)
-                - _e1(r2 / (root + 1.0)) * av
-                + qx + bv + mu * _e1(bx) * x)
+        qx = (qm * jets.row(x)).sum(-1) if isinstance(x, jets.Jet) else np.einsum("ij,...j->...i", qm, x)
+        return (x * jets.col(lam * root + ax)
+                - jets.col(r2 / (root + 1.0)) * av
+                + qx + bv + mu * jets.col(bx) * x)
 
     def wflat(x):
         hv = h.matrix(x)
         wv = w(x)
         if isinstance(hv, jets.Jet) or isinstance(wv, jets.Jet):
-            return (hv * _row(wv)).sum(-1)
+            return (hv * jets.row(wv)).sum(-1)
         return np.einsum("...ij,...j->...i", hv, wv)
 
     return w, OneFormField(n, wflat, name="conformal-dual")
@@ -224,7 +224,8 @@ def closed_conformal_form(mu: float, lam: float, a, n: int,
         r2 = jets.dot_last(x, x)
         den = 1.0 + mu * r2
         ax = jets.dot_last(x, av)
-        return (x * _e1(lam) + _e1(den) * av - mu * _e1(ax) * x) * _e1(jets.power(den, -1.5))
+        return ((x * jets.col(lam) + jets.col(den) * av - mu * jets.col(ax) * x)
+                * jets.col(jets.power(den, -1.5)))
 
     form = OneFormField(n, cov, name=f"closed-conformal[{mu:g},{lam:g}]")
     if verify:
@@ -266,28 +267,6 @@ def example_64_metric(eps: float, n: int, mu: float = 0.0, lam: float = 0.3,
     if check:
         return assemble(alpha, beta, phi, name="example64")
     return ABMetric(alpha, beta, phi, name="example64")
-
-
-def _col(u):
-    return u[..., :, None] if isinstance(u, jets.Jet) else np.asarray(u)[..., :, None]
-
-
-def _row(u):
-    return u[..., None, :] if isinstance(u, jets.Jet) else np.asarray(u)[..., None, :]
-
-
-def _e1(u):
-    if isinstance(u, jets.Jet):
-        return u[..., None]
-    u = np.asarray(u)
-    return u[..., None]
-
-
-def _e2(u):
-    if isinstance(u, jets.Jet):
-        return u[..., None, None]
-    u = np.asarray(u)
-    return u[..., None, None]
 
 
 MODEL_NAMES = ("funk", "berwald", "family-sigma", "space-form", "example63-plus",

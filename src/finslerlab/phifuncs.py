@@ -109,7 +109,8 @@ def eta_core(k1, k2, k3, t):
     _require_positive(d, "1+(k1+k3)t+k2*t^2")
     if case == 3:
         rt = math.sqrt(s * s - 4.0 * k2)
-        bracket = ((rt + s) / (rt - s)) * (rt - s - 2.0 * k2 * t) / (rt + s + 2.0 * k2 * t)
+        # ((rt+s)/(rt-s)) (rt-s-2 k2 t)/(rt+s+2 k2 t), written so that t=0 gives 1 exactly
+        bracket = (1.0 - t * (2.0 * k2 / (rt - s))) / (1.0 + t * (2.0 * k2 / (rt + s)))
         return jets.power(bracket, (k1 - k3) / (4.0 * rt)) * jets.power(d, -0.25)
     if case == 4:
         # sqrt(2)/sqrt(2+s t) written as (1 + s t/2)^(-1/2) so that t=0 gives 1 exactly
@@ -117,7 +118,8 @@ def eta_core(k1, k2, k3, t):
         _require_positive(w, "2+(k1+k3)t")
         return jets.exp((0.5 / w - 0.5) * ((k3 - k1) / s)) * jets.power(w, -0.5)
     rt = math.sqrt(4.0 * k2 - s * s)
-    ang = jets.arctan((t * (2.0 * k2) + s) / rt) - math.atan(s / rt)
+    # np.arctan, not math.atan: the two can differ by 1 ulp, and then eta(0) != 1
+    ang = jets.arctan((t * (2.0 * k2) + s) / rt) - np.arctan(s / rt)
     return jets.exp(ang * ((k1 - k3) / (2.0 * rt))) * jets.power(d, -0.25)
 
 

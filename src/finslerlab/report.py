@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -77,21 +78,14 @@ def write_json(report: dict, out: str | None):
         sys.stdout.write(text + "\n")
 
 
-def write_csv(path: str, header: list[str], rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path: str | None, header: list[str], rows):
+    """CSV with floats written through repr, to ``path`` or, when it is None, stdout."""
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
                         for v in row])
-
-
-def csv_to_stdout(header: list[str], rows):
-    w = csv.writer(sys.stdout)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                    for v in row])
 
 
 def svg_traces(path: str, traces, radius: float = 1.0):

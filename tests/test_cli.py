@@ -67,6 +67,19 @@ def test_verify_custom_pair_fails_regularity_gate(runner):
     ["classify", "--k", "0,inf,0"],
     ["classify", "--k", "0,0,0", "--eps", "nan"],
     ["verify", "--eps", "inf"],
+    ["verify", "--step", "2"],
+    ["verify", "--step", "0.6"],
+    ["geodesics", "--dim", "2", "--x0", "0.95,0", "--y0", "1,0"],
+    ["geodesics", "--dim", "2", "--x0", "a,0", "--y0", "1,0"],
+    ["geodesics", "--dim", "2", "--x0", "0.1,0", "--y0", "0,0"],
+    ["geodesics", "--dim", "2", "--x0", "0.85,0", "--y0", "1,0", "--step", "0.1"],
+    ["geodesics", "--stop-radius", "0.3"],
+    ["geodesics", "--max-steps", "1"],
+    ["classify", "--k", "1e308,1e308,0"],
+    ["classify", "--k", "5e153,0,-5e153"],
+    ["geodesics", "--threads", "2"],
+    ["geodesics", "--samples", "5"],
+    ["deform", "--k", "2,0,-3", "--threads", "2"],
 ])
 def test_bad_numeric_options_are_usage_errors(runner, args):
     res = runner.invoke(main, args + ["--no-timestamp"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from finslerlab import jets
 from finslerlab.errors import DomainError, SingularMetricError
 from finslerlab.geometry import (
     MetricField,
@@ -12,6 +13,7 @@ from finslerlab.geometry import (
     covariant_derivative,
     euclidean_metric,
     norm_b,
+    pair_fields,
     spray_riemann,
 )
 from finslerlab.models import funk_metric, space_form_metric
@@ -179,3 +181,38 @@ def test_singular_metric_rejected():
                     + np.diag([1.0, 1e-14]))
     with pytest.raises(SingularMetricError):
         christoffel(a, np.array([0.1, 0.1]))
+
+
+def test_pair_fields_evaluates_the_pair_once_per_call(monkeypatch):
+    funk = funk_metric(3)
+    calls = {"a": 0, "b": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(jets, "solve", counted("solve", jets.solve))
+    a = MetricField(3, counted("a", funk.alpha.matrix), domain_radius=1.0, name="a")
+    b = OneFormField(3, counted("b", funk.beta.covector), name="b")
+    alpha, beta = pair_fields(a, b, lambda av, bv, t: jets.e2(t) * av,
+                              lambda bv, t: jets.col(t) * bv, "sq")
+    assert (alpha.name, beta.name, alpha.domain_radius) == ("sq(a)", "sq(b)", 1.0)
+    xs = np.random.default_rng(4).uniform(-0.4, 0.4, (5, 3))
+    t = norm_b(funk.alpha, funk.beta, xs) ** 2
+    for field, x in ((alpha.matrix, xs), (beta.covector, xs), (alpha.matrix, jets.seed(xs, 2))):
+        for key in calls:
+            calls[key] = 0
+        field(x)
+        assert calls == {"a": 1, "b": 1, "solve": 1}
+    assert np.allclose(alpha.matrix(xs), t[:, None, None] * funk.alpha.matrix(xs), rtol=1e-13)
+    assert np.allclose(beta.covector(xs), t[:, None] * funk.beta.covector(xs), rtol=1e-13)
+
+
+def test_pair_fields_passes_a_none_side_through():
+    funk = funk_metric(3)
+    alpha, beta = pair_fields(funk.alpha, funk.beta, None, lambda bv, t: bv, "b-only")
+    assert alpha is funk.alpha and beta is not funk.beta
+    alpha, beta = pair_fields(funk.alpha, funk.beta, lambda av, bv, t: av, None, "a-only")
+    assert beta is funk.beta and alpha is not funk.alpha

@@ -146,3 +146,32 @@ def test_quad_form_matches_einsum():
     a = np.eye(3) + 0.1 * rng.standard_normal((5, 3, 3))
     y = rng.standard_normal((5, 3))
     assert np.allclose(jets.quad_form(a, y), np.einsum("bij,bi,bj->b", a, y, y))
+
+
+def test_shape_helpers_on_jets_arrays_and_floats():
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, 4, 3))
+    ju = jets.seed(u, order=2)
+    jv = jets.Jet(v, rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 3, 3, 3)))
+    m = ju.nseeds
+    for fn, shape in ((jets.col, (4, 3, 1)), (jets.row, (4, 1, 3)), (jets.e2, (4, 3, 1, 1))):
+        assert fn(u).shape == fn(u.tolist()).shape == shape
+        out = fn(ju)
+        assert np.array_equal(out.val, fn(u))
+        assert np.array_equal(out.g, ju.g.reshape(shape + (m,)))
+        assert np.array_equal(out.h, ju.h.reshape(shape + (m, m)))
+    assert jets.col(0.5).tolist() == [0.5] and jets.e2(2.0).tolist() == [[2.0]]
+    assert np.array_equal(jets.e2(u[:, 0]), u[:, 0, None, None])
+
+    expect = u[..., :, None] * v[..., None, :]
+    assert np.array_equal(jets.outer(u, v), expect)
+    o = jets.outer(ju, jv)
+    assert np.array_equal(o.val, expect)
+    g = np.einsum("...ik,...j->...ijk", ju.g, v) + np.einsum("...i,...jk->...ijk", u, jv.g)
+    cross = np.einsum("...ia,...jb->...ijab", ju.g, jv.g)
+    h = (np.einsum("...iab,...j->...ijab", ju.h, v) + np.einsum("...i,...jab->...ijab", u, jv.h)
+         + cross + np.swapaxes(cross, -1, -2))
+    assert np.allclose(o.g, g, rtol=1e-14, atol=0) and np.allclose(o.h, h, rtol=1e-14, atol=1e-15)
+    # a plain operand on either side keeps the jet's derivatives
+    assert np.array_equal(jets.outer(u, jv).g, jets.outer(jets.lift(u, jv), jv).g)
+    assert np.array_equal(jets.outer(ju, v).val, expect)

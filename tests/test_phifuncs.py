@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finslerlab.errors import DomainError, UnsupportedFamilyError
 from finslerlab.phifuncs import (
@@ -67,7 +67,9 @@ def test_f_factor_case1_closed_form():
 
 
 def test_f_factor_initial_condition():
-    for k in CASE_PARAMS.values():
+    # the last triple is case 5 both ways round: the arctan offset must cancel exactly at 0
+    for k in (*CASE_PARAMS.values(),
+              OdeParams(-0.8638039251474137, 1.1386133193736638, 2.6202370644080677)):
         assert f_factor(k, 0.0) == 1.0
         assert eta_core(k.k1, k.k2, k.k3, 0.0) == 1.0
 
@@ -245,6 +247,7 @@ def test_regularity_riemannian():
 
 @given(st.floats(-1.0, 1.0), st.floats(-0.4, 0.4), st.floats(-1.0, 1.0))
 @settings(max_examples=25, deadline=None)
+@example(0.5, -0.04308945894697774, -0.1306087788644541)  # case 3: the bracket must be 1 at 0
 def test_f_factor_positive_and_normalized(k1, k2, k3):
     k = OdeParams(k1, k2, k3)
     b0 = positivity_radius(k)
