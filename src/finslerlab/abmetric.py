@@ -67,26 +67,27 @@ class ABMetric:
     def domain_radius(self) -> float:
         return self.alpha.domain_radius
 
+    @property
+    def sample_radius(self) -> float:
+        """Radius that random samples scale to: the domain radius, or 1 on all of R^n."""
+        radius = self.alpha.domain_radius
+        return radius if math.isfinite(radius) else 1.0
 
-def assemble(alpha: MetricField, beta: OneFormField, phi: PhiSpec, name: str = "",
-             check: bool = True, samples: int = 64, seed: int = 0,
-             reg_grid: int = 12) -> ABMetric:
+
+def assemble(alpha: MetricField, beta: OneFormField, phi: PhiSpec, name: str = "") -> ABMetric:
     """Build an ABMetric, certifying regularity on the sampled domain.
 
-    Estimates sup ||beta||_alpha over quasi-random points in 0.95 of the
-    domain ball and runs the strong-convexity inequality check at that bound.
+    Estimates sup ||beta||_alpha over 64 seeded quasi-random points in 0.95
+    of the sampling ball and runs the strong-convexity inequality check at
+    that bound on a 12-point grid.
     """
     m = ABMetric(alpha, beta, phi, name=name)
-    if not check:
-        return m
-    rng = np.random.default_rng(seed)
-    radius = alpha.domain_radius if math.isfinite(alpha.domain_radius) else 1.0
-    pts = sample_ball(rng, alpha.dim, samples, 0.95 * radius)
+    pts = sample_ball(np.random.default_rng(0), alpha.dim, 64, 0.95 * m.sample_radius)
     bmax = float(np.max(norm_b(alpha, beta, pts)))
     if bmax >= phi.b0:
         raise RegularityError(f"sup ||beta|| = {bmax:.6g} >= phi validity b0 = {phi.b0:.6g}")
     if bmax > 0:
-        report = regularity_check(phi, bmax, grid=reg_grid)
+        report = regularity_check(phi, bmax, grid=12)
         if not report.passed:
             raise RegularityError(
                 f"regularity fails at b0={bmax:.6g}: min margin {report.min_margin:.3g}, "

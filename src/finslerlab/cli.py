@@ -7,8 +7,7 @@ geodesics (trace export), deform (chain round-trip diagnostics), phi
 
 Reports are JSON (schema 1); --no-timestamp omits the wall-clock fields
 (timestamp and timing) so identical configurations produce byte-identical
-files.  On verify only, --threads (or FINSLERLAB_THREADS) sizes the
-sample-sweep worker pool; results are identical for any worker count.
+files.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .classify import (
     same_type,
 )
 from .deform import forward_chain, inverse_chain
-from .errors import FinslerError, PositivityError
+from .errors import DomainError, FinslerError, PositivityError
 from .exprfield import metric_from_exprs, oneform_from_exprs
 from .flatness import (
     integrate_geodesics,
@@ -77,13 +76,6 @@ def _finite(ctx, param, value):
     return value
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FINSLERLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr):
     if (alpha_expr or beta_expr) and not (alpha_expr and beta_expr):
         raise click.UsageError("--alpha-expr and --beta-expr must be given together")
@@ -101,12 +93,17 @@ def _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr):
         raise click.UsageError(str(exc))
 
 
-def _deviations(traces):
-    """Straightness of each trace; one stopped before its second step cannot be measured."""
+def _geodesics(m, xs, ys, stop_radius, step, max_steps):
+    """RK4 traces and their straightness; a step too coarse for them is a usage error."""
+    try:
+        traces = integrate_geodesics(m, xs, ys, stop_radius, step, max_steps=max_steps)
+    except DomainError as exc:
+        raise click.UsageError(f"an RK4 stage point left the domain ({exc}): use a smaller --step")
+    # a trace stopped before its second step has no straightness to measure
     if any(len(t.times) < 3 for t in traces):
         raise click.UsageError("a geodesic reached the stop radius within one step: "
                                "start it further inside or use a smaller --step")
-    return [straightness_deviation(t) for t in traces]
+    return traces, [straightness_deviation(t) for t in traces]
 
 
 @click.group()
@@ -149,16 +146,13 @@ _samples = click.option("--samples", default=100, show_default=True, type=click.
 @click.option("--geodesics", "n_geo", default=10, show_default=True,
               help="Geodesic traces for the straightness check (0 skips).")
 @_samples
-@click.option("--threads", default=None, type=int,
-              help="Worker pool size (default FINSLERLAB_THREADS or 1).")
 @_add_common
 def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
-           dim, samples, seed, tol, out, threads, no_timestamp):
+           dim, samples, seed, tol, out, no_timestamp):
     """Certify projective flatness: Hamel, Rapcsak, spray, geodesics."""
     t0 = time.perf_counter()
-    threads = threads if threads is not None else _default_threads()
     m = _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr)
-    rep = verify_flatness(m, samples=samples, seed=seed, tolerance=tol, threads=threads)
+    rep = verify_flatness(m, samples=samples, seed=seed, tolerance=tol)
     checks = [
         check_entry("hamel", rep.max_hamel, tol),
         check_entry("rapcsak", rep.max_rapcsak, tol),
@@ -166,15 +160,12 @@ def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
     ]
     if n_geo > 0:
         rng = np.random.default_rng(seed + 1)
-        radius = m.domain_radius if math.isfinite(m.domain_radius) else 1.0
-        xs = sample_ball(rng, dim, n_geo, 0.4 * radius)
+        xs = sample_ball(rng, dim, n_geo, 0.4 * m.sample_radius)
         ys = sample_sphere(rng, dim, n_geo)
-        traces = integrate_geodesics(m, xs, ys, 0.9 * radius, step,
-                                     max_steps=min(1000, int(1.0 / step)))
-        dev = max(_deviations(traces))
-        checks.append(check_entry("straightness", dev, tol))
+        _, devs = _geodesics(m, xs, ys, 0.9 * m.sample_radius, step, min(1000, int(1.0 / step)))
+        checks.append(check_entry("straightness", max(devs), tol))
     config = {"model": m.name, "dim": dim, "samples": samples, "seed": seed,
-              "tol": tol, "step": step, "geodesics": n_geo, "threads": threads}
+              "tol": tol, "step": step, "geodesics": n_geo}
     report = make_report("verify", config, checks, with_clock=not no_timestamp, t0=t0)
     write_json(report, out)
     sys.exit(0 if report["passed"] else 1)
@@ -239,7 +230,8 @@ def classify(k_text, eps, out, no_timestamp):
 @click.option("--y0", default=None, help="Start velocity 'y1,..,yn'.")
 @click.option("--step", default=1e-3, show_default=True,
               type=click.FloatRange(min=0, min_open=True))
-@click.option("--stop-radius", default=0.9, show_default=True)
+@click.option("--stop-radius", default=0.9, show_default=True,
+              help="Traces stop here; must lie inside the model's domain radius.")
 @click.option("--max-steps", default=1000, show_default=True, type=click.IntRange(min=2))
 @click.option("--svg", default=None, help="Write an SVG projection here.")
 @click.option("--trace-dir", default=None, help="Write per-trace CSV files here.")
@@ -252,6 +244,9 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
     """Integrate geodesics and measure their deviation from straight chords."""
     t0 = time.perf_counter()
     m = _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr)
+    if not 0.0 < stop_radius < m.domain_radius:
+        raise click.UsageError(f"--stop-radius must lie in (0, {m.domain_radius:g}), "
+                               f"the domain radius of {m.name}")
     rng = np.random.default_rng(seed)
     if x0 is not None or y0 is not None:
         if not (x0 and y0):
@@ -263,11 +258,9 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
         if not np.any(ys):
             raise click.UsageError("--y0 must be a nonzero vector")
     else:
-        radius = m.domain_radius if math.isfinite(m.domain_radius) else 1.0
-        xs = sample_ball(rng, dim, batch, 0.4 * radius)
+        xs = sample_ball(rng, dim, batch, 0.4 * m.sample_radius)
         ys = sample_sphere(rng, dim, batch)
-    traces = integrate_geodesics(m, xs, ys, stop_radius, step, max_steps=max_steps)
-    devs = _deviations(traces)
+    traces, devs = _geodesics(m, xs, ys, stop_radius, step, max_steps)
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
         for i, tr in enumerate(traces):
@@ -277,8 +270,7 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
                       + [f"y{j + 1}" for j in range(dim)])
             write_csv(os.path.join(trace_dir, f"trace_{i:03d}.csv"), header, rows)
     if svg:
-        radius = m.domain_radius if math.isfinite(m.domain_radius) else 1.0
-        svg_traces(svg, traces, radius=radius)
+        svg_traces(svg, traces, radius=m.sample_radius)
     checks = [check_entry("straightness", max(devs), tol)]
     config = {"model": m.name, "dim": dim, "batch": len(traces), "seed": seed,
               "step": step, "stop_radius": stop_radius, "tol": tol}
@@ -308,8 +300,7 @@ def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
     k = OdeParams(k1, k2, k3, eps)
     m = _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr)
     rng = np.random.default_rng(seed)
-    radius = m.domain_radius if math.isfinite(m.domain_radius) else 1.0
-    xs = sample_ball(rng, dim, samples, 0.6 * radius)
+    xs = sample_ball(rng, dim, samples, 0.6 * m.sample_radius)
     try:
         abar, bbar = forward_chain(m.alpha, m.beta, k)
         a2, b2 = inverse_chain(abar, bbar, k)
@@ -354,9 +345,11 @@ def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
 @click.option("--sigma", default=1.0, show_default=True)
 @click.option("--r", "r_text", default=None, help="Rational r, e.g. -1/2.")
 @click.option("--p", "p_text", default=None, help="Rational p, e.g. 1/2.")
-@click.option("--grid", default=50, show_default=True)
-@click.option("--smax", default=0.9, show_default=True)
-@click.option("--quad-tol", default=1e-12, show_default=True)
+@click.option("--grid", default=50, show_default=True, type=click.IntRange(min=2))
+@click.option("--smax", default=0.9, show_default=True,
+              type=click.FloatRange(min=0, min_open=True), callback=_finite)
+@click.option("--quad-tol", default=1e-12, show_default=True,
+              type=click.FloatRange(min=0, min_open=True), callback=_finite)
 @click.option("--out", default=None, help="CSV path (default stdout).")
 def phi_cmd(k_text, eps, family, sigma, r_text, p_text, grid, smax, quad_tol, out):
     """Tabulate s, phi, phi', phi'', the ODE residual and the regularity margin."""

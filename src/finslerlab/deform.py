@@ -89,7 +89,6 @@ class DeformChain:
     rho: ScalarFactor
     nu: ScalarFactor
     params: OdeParams
-    direction: str = "forward"
 
 
 def _check_pos(v, label):

@@ -81,8 +81,8 @@ def parse_scalar(src: str, dim: int):
     return lambda x: ev(tree, x)
 
 
-def metric_from_exprs(src: str, dim: int, domain_radius: float = 1.0) -> MetricField:
-    """MetricField from 'a11,..,a1n; ...; an1,..,ann' (symmetrized)."""
+def metric_from_exprs(src: str, dim: int) -> MetricField:
+    """MetricField on the unit ball from 'a11,..,a1n; ...; an1,..,ann' (symmetrized)."""
     rows = [r.split(",") for r in src.split(";")]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError(f"metric expression must be {dim}x{dim} entries")
@@ -102,7 +102,7 @@ def metric_from_exprs(src: str, dim: int, domain_radius: float = 1.0) -> MetricF
                 acc = jets.e2(entry) * e + acc
         return jets.lift(acc, x)
 
-    return MetricField(dim, mat, domain_radius=domain_radius, name="custom")
+    return MetricField(dim, mat, domain_radius=1.0, name="custom")
 
 
 def oneform_from_exprs(src: str, dim: int) -> OneFormField:

@@ -37,6 +37,7 @@ from .phifuncs import (
     phi_berwald,
     phi_randers,
     phi_riemannian,
+    regularity_check,
 )
 
 __all__ = [
@@ -89,31 +90,23 @@ def berwald_metric(n: int) -> ABMetric:
     return ABMetric(alpha, beta, phi_berwald(), name="berwald")
 
 
-def family_sigma_metric(sigma: float, eps: float, n: int,
-                        series_tol: float = 1e-12, check: bool = True,
-                        b_max: float = 0.95) -> ABMetric:
-    """The one-parameter family with phi_sigma; regularity-checked at construction."""
+def family_sigma_metric(sigma: float, eps: float, n: int) -> ABMetric:
+    """The one-parameter family with phi_sigma; regularity-checked up to b = 0.95."""
     if n < 2:
         raise ValueError("n must be at least 2")
     alpha, beta = _ball_pair(n, sigma + 1.0)
-    phi = SigmaSeriesPhi(sigma, eps, tol=series_tol)
-    m = ABMetric(alpha, beta, phi, name=f"family-sigma[{sigma:g},{eps:g}]")
-    if check:
-        from .phifuncs import regularity_check
-
-        b0 = min(b_max, 0.999 * phi.b0)
-        report = regularity_check(phi, b0, grid=16)
-        if not report.passed:
-            raise RegularityError(
-                f"phi_sigma(sigma={sigma:g}, eps={eps:g}) fails regularity up to b={b0:.3g}: "
-                f"min margin {report.min_margin:.3g}, min phi {report.min_phi:.3g}")
-    return m
+    phi = SigmaSeriesPhi(sigma, eps)
+    b0 = min(0.95, 0.999 * phi.b0)
+    report = regularity_check(phi, b0, grid=16)
+    if not report.passed:
+        raise RegularityError(
+            f"phi_sigma(sigma={sigma:g}, eps={eps:g}) fails regularity up to b={b0:.3g}: "
+            f"min margin {report.min_margin:.3g}, min phi {report.min_phi:.3g}")
+    return ABMetric(alpha, beta, phi, name=f"family-sigma[{sigma:g},{eps:g}]")
 
 
-def sigma_eps_range(sigma: float, lo: float = 0.0, hi: float = 4.0,
-                    b0: float = 0.9, tol: float = 1e-3) -> float:
-    """Largest eps in [lo, hi] passing the regularity check at b0 (bisection)."""
-    from .phifuncs import regularity_check
+def sigma_eps_range(sigma: float, b0: float = 0.9) -> float:
+    """Largest eps in [0, 4] passing the regularity check at b0 (bisection to 1e-3)."""
 
     def ok(eps):
         try:
@@ -121,12 +114,12 @@ def sigma_eps_range(sigma: float, lo: float = 0.0, hi: float = 4.0,
         except Exception:
             return False
 
-    if not ok(lo):
+    a, b = 0.0, 4.0
+    if not ok(a):
         return math.nan
-    if ok(hi):
-        return hi
-    a, b = lo, hi
-    while b - a > tol:
+    if ok(b):
+        return b
+    while b - a > 1e-3:
         mid = 0.5 * (a + b)
         a, b = (mid, b) if ok(mid) else (a, mid)
     return a
@@ -209,7 +202,7 @@ def conformal_field(params: ConformalFieldParams, n: int):
 
 
 def closed_conformal_form(mu: float, lam: float, a, n: int,
-                          verify: bool = False, seed: int = 3) -> OneFormField:
+                          verify: bool = False) -> OneFormField:
     """The closed AND conformal 1-form w.r.t. space_form(mu): the unified display.
 
     With ``verify=True`` the construction is certified numerically: s_ij must
@@ -230,7 +223,7 @@ def closed_conformal_form(mu: float, lam: float, a, n: int,
     form = OneFormField(n, cov, name=f"closed-conformal[{mu:g},{lam:g}]")
     if verify:
         h = space_form_metric(mu, n)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         pts = rng.uniform(-0.4, 0.4, size=(20, n)) * (h.domain_radius)
         cd = covariant_derivative(form, h, pts)
         smax = float(np.max(np.abs(cd.sij)))
@@ -243,30 +236,23 @@ def closed_conformal_form(mu: float, lam: float, a, n: int,
 
 
 def example_63_metric(sign: int, eps: float, n: int, mu: float = 0.0,
-                      lam: float = 0.3, a=None, check: bool = True) -> ABMetric:
+                      lam: float = 0.3) -> ABMetric:
     """The exponential-factor example: k = (±2, 0, ∓2), phi from the r=0 series."""
     k = OdeParams(2.0, 0.0, -2.0, eps) if sign > 0 else OdeParams(-2.0, 0.0, 2.0, eps)
     abar = space_form_metric(mu, n)
-    bbar = closed_conformal_form(mu, lam, a, n)
+    bbar = closed_conformal_form(mu, lam, None, n)
     alpha, beta = inverse_chain(abar, bbar, k)
     phi = ZeroPSeriesPhi(1.0 / k.k1, eps)
-    name = f"example63[{'+' if sign > 0 else '-'}]"
-    if check:
-        return assemble(alpha, beta, phi, name=name)
-    return ABMetric(alpha, beta, phi, name=name)
+    return assemble(alpha, beta, phi, name=f"example63[{'+' if sign > 0 else '-'}]")
 
 
-def example_64_metric(eps: float, n: int, mu: float = 0.0, lam: float = 0.3,
-                      a=None, tol: float = 1e-12, check: bool = True) -> ABMetric:
+def example_64_metric(eps: float, n: int, mu: float = 0.0, lam: float = 0.3) -> ABMetric:
     """The quartic-denominator example: k = (0, 1, 0), phi by quadrature."""
     k = OdeParams(0.0, 1.0, 0.0, eps)
     abar = space_form_metric(mu, n)
-    bbar = closed_conformal_form(mu, lam, a, n)
+    bbar = closed_conformal_form(mu, lam, None, n)
     alpha, beta = inverse_chain(abar, bbar, k)
-    phi = QuadraturePhi(k, tol=tol)
-    if check:
-        return assemble(alpha, beta, phi, name="example64")
-    return ABMetric(alpha, beta, phi, name="example64")
+    return assemble(alpha, beta, QuadraturePhi(k), name="example64")
 
 
 MODEL_NAMES = ("funk", "berwald", "family-sigma", "space-form", "example63-plus",

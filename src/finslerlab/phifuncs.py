@@ -305,21 +305,19 @@ class SigmaSeriesPhi(PhiSpec):
 
     c_n = prod_{k=1..n} (k-sigma-1)(2k-3) / (k (2k-1)),
 
-    convergent on |s| < 1.  Truncation: |term| < tol * max(1, |partial sum|)
-    or ``max_terms`` terms; |s| >= 0.999 is rejected.
+    convergent on |s| < 1.  Truncation: |term| < 1e-12 * max(1, |partial sum|)
+    or 200 terms; |s| >= 0.999 is rejected.
     """
 
-    def __init__(self, sigma: float, eps: float, tol: float = 1e-12, max_terms: int = 200):
+    def __init__(self, sigma: float, eps: float):
         self.sigma = float(sigma)
-        self.tol = tol
-        self.max_terms = max_terms
         self.params = OdeParams(2.0 * sigma, 0.0, -2.0 * sigma - 1.0, eps)
         self.b0 = min(0.999, positivity_radius(self.params))
         self.eval_radius = 0.999
         self.name = f"sigma[{sigma:g}]"
         coeffs = []
         c = 1.0
-        for k in range(1, max_terms + 1):
+        for k in range(1, 201):
             c *= (k - sigma - 1.0) * (2.0 * k - 3.0) / (k * (2.0 * k - 1.0))
             coeffs.append(c)
             if c == 0.0:
@@ -342,21 +340,23 @@ class SigmaSeriesPhi(PhiSpec):
             ddph = ddph + term_dd
             pw = pw * s2
             # the second-derivative tail converges slowest; bound both
-            scale = self.tol * np.maximum(1.0, np.abs(ph))
+            scale = 1e-12 * np.maximum(1.0, np.abs(ph))
             if np.all(np.abs(term) < scale) and np.all(np.abs(term_dd) < scale):
                 break
         return ph, dph, ddph
 
 
 class ZeroPSeriesPhi(PhiSpec):
-    """The r=0 family: 1 + eps*s + (1/p) sum_n (-1)^n s^(2n+2) / ((2n+2)(2n+1) n! (2p)^n)."""
+    """The r=0 family: 1 + eps*s + (1/p) sum_n (-1)^n s^(2n+2) / ((2n+2)(2n+1) n! (2p)^n).
 
-    def __init__(self, p: float, eps: float, tol: float = 1e-14, max_terms: int = 200):
+    Truncation: |term| < 1e-14 * max(1, |partial sum|) after at least three
+    terms, or 200 terms.
+    """
+
+    def __init__(self, p: float, eps: float):
         if p == 0:
             raise ValueError("p must be nonzero")
         self.p = float(p)
-        self.tol = tol
-        self.max_terms = max_terms
         self.params = OdeParams(1.0 / p, 0.0, -1.0 / p, eps)
         self.b0 = positivity_radius(self.params)
         self.eval_radius = math.inf
@@ -371,7 +371,7 @@ class ZeroPSeriesPhi(PhiSpec):
         ddph = np.zeros_like(s)
         coef = 1.0 / self.p
         pw = np.ones_like(s)  # s^(2n)
-        for n in range(self.max_terms):
+        for n in range(200):
             m = 2 * n + 2
             term = coef * pw * s2 / (m * (m - 1))
             ph = ph + term
@@ -379,7 +379,7 @@ class ZeroPSeriesPhi(PhiSpec):
             ddph = ddph + coef * pw
             coef *= -1.0 / ((n + 1) * 2.0 * self.p)
             pw = pw * s2
-            if np.all(np.abs(term) < self.tol * np.maximum(1.0, np.abs(ph))) and n >= 2:
+            if np.all(np.abs(term) < 1e-14 * np.maximum(1.0, np.abs(ph))) and n >= 2:
                 break
         return ph, dph, ddph
 
@@ -513,9 +513,9 @@ def phi_from_quadrature(k: OdeParams, eps: float, s, tol: float = 1e-12):
     return spec.values(s)
 
 
-def phi_series_sigma(sigma: float, eps: float, s, tol: float = 1e-12):
+def phi_series_sigma(sigma: float, eps: float, s):
     """phi_sigma(s) by the product-coefficient power series."""
-    return SigmaSeriesPhi(sigma, eps, tol=tol).phi(s)
+    return SigmaSeriesPhi(sigma, eps).phi(s)
 
 
 def phi_explicit_family(r, p, eps: float, s):
