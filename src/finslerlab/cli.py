@@ -114,7 +114,8 @@ def main():
 _common = [
     click.option("--dim", default=3, show_default=True, help="Patch dimension."),
     click.option("--seed", default=0, show_default=True, help="RNG seed."),
-    click.option("--tol", default=1e-6, show_default=True, help="Residual tolerance."),
+    click.option("--tol", default=1e-6, show_default=True, callback=_finite,
+                 help="Residual tolerance."),
     click.option("--out", default=None, help="Write the JSON report here (default stdout)."),
     click.option("--no-timestamp", is_flag=True,
                  help="Omit timestamp and timing for byte-stable reports."),
@@ -134,16 +135,20 @@ _samples = click.option("--samples", default=100, show_default=True, type=click.
 @main.command()
 @click.option("--model", default="funk", show_default=True,
               help=f"One of {', '.join(MODEL_NAMES)} (or used with --alpha-expr/--beta-expr).")
-@click.option("--sigma", default=1.0, show_default=True, help="Family parameter sigma.")
+@click.option("--sigma", default=1.0, show_default=True, callback=_finite,
+              help="Family parameter sigma.")
 @click.option("--eps", default=2.0, show_default=True, callback=_finite, help="Slope phi'(0).")
-@click.option("--mu", default=0.0, show_default=True, help="Space-form curvature.")
-@click.option("--lam", default=0.3, show_default=True, help="Conformal-form coefficient.")
+@click.option("--mu", default=0.0, show_default=True, callback=_finite,
+              help="Space-form curvature.")
+@click.option("--lam", default=0.3, show_default=True, callback=_finite,
+              help="Conformal-form coefficient.")
 @click.option("--alpha-expr", default=None, help="Custom metric entries 'a11,..;..'.")
 @click.option("--beta-expr", default=None, help="Custom 1-form entries 'b1,..'.")
 @click.option("--step", default=1e-3, show_default=True,
               type=click.FloatRange(min=0, max=0.5, min_open=True),
               help="Geodesic RK4 step; traces run min(1000, 1/step) steps, so at most 0.5.")
 @click.option("--geodesics", "n_geo", default=10, show_default=True,
+              type=click.IntRange(min=0),
               help="Geodesic traces for the straightness check (0 skips).")
 @_samples
 @_add_common
@@ -218,10 +223,10 @@ def classify(k_text, eps, out, no_timestamp):
 
 @main.command()
 @click.option("--model", default="funk", show_default=True)
-@click.option("--sigma", default=1.0, show_default=True)
+@click.option("--sigma", default=1.0, show_default=True, callback=_finite)
 @click.option("--eps", default=2.0, show_default=True, callback=_finite)
-@click.option("--mu", default=0.0, show_default=True)
-@click.option("--lam", default=0.3, show_default=True)
+@click.option("--mu", default=0.0, show_default=True, callback=_finite)
+@click.option("--lam", default=0.3, show_default=True, callback=_finite)
 @click.option("--alpha-expr", default=None)
 @click.option("--beta-expr", default=None)
 @click.option("--batch", default=5, show_default=True, type=click.IntRange(min=1),
@@ -283,10 +288,10 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
 
 @main.command()
 @click.option("--model", default="berwald", show_default=True)
-@click.option("--sigma", default=1.0, show_default=True)
+@click.option("--sigma", default=1.0, show_default=True, callback=_finite)
 @click.option("--eps", default=2.0, show_default=True, callback=_finite)
-@click.option("--mu", default=0.0, show_default=True)
-@click.option("--lam", default=0.3, show_default=True)
+@click.option("--mu", default=0.0, show_default=True, callback=_finite)
+@click.option("--lam", default=0.3, show_default=True, callback=_finite)
 @click.option("--alpha-expr", default=None)
 @click.option("--beta-expr", default=None)
 @click.option("--k", "k_text", required=True, help="k1,k2,k3 driving the chain.")
@@ -342,7 +347,7 @@ def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
 @click.option("--eps", default=0.0, show_default=True, callback=_finite)
 @click.option("--family", type=click.Choice(["sigma", "rp"]), default=None,
               help="Closed family instead of quadrature.")
-@click.option("--sigma", default=1.0, show_default=True)
+@click.option("--sigma", default=1.0, show_default=True, callback=_finite)
 @click.option("--r", "r_text", default=None, help="Rational r, e.g. -1/2.")
 @click.option("--p", "p_text", default=None, help="Rational p, e.g. 1/2.")
 @click.option("--grid", default=50, show_default=True, type=click.IntRange(min=2))

@@ -88,6 +88,12 @@ def test_verify_custom_pair_fails_regularity_gate(runner):
     ["phi", "--k", "0,1,0", "--quad-tol", "nan"],
     ["phi", "--k", "0,1,0", "--grid", "0"],
     ["phi", "--k", "0,1,0", "--smax", "-1"],
+    ["verify", "--model", "space-form", "--mu", "nan"],
+    ["verify", "--tol", "nan"],
+    ["phi", "--family", "sigma", "--sigma", "nan"],
+    ["verify", "--geodesics", "-1"],
+    ["verify", "--model", "example64", "--lam", "inf"],
+    ["verify", "--model", "family-sigma", "--sigma", "nan"],
 ])
 def test_bad_numeric_options_are_usage_errors(runner, args):
     # phi writes CSV and has no --no-timestamp, which would be a usage error of its own

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from finslerlab import phifuncs
 from finslerlab.errors import DomainError, UnsupportedFamilyError
 from finslerlab.phifuncs import (
     OdeParams,
@@ -121,8 +123,77 @@ def test_phi_from_quadrature_identifies_quadratic():
 
 def test_phi_from_quadrature_at_zero():
     for k in CASE_PARAMS.values():
-        ph, dph, _ = phi_from_quadrature(k, 0.7, 0.0)
-        assert ph == 1.0 and dph == 0.7
+        for eps in (0.7, -1.3):
+            ph, dph, _ = phi_from_quadrature(k, eps, 0.0)
+            assert ph == 1.0 and dph == eps
+            ph, dph, _ = phi_from_quadrature(k, eps, np.array([-0.3, 0.0, 0.3]))
+            assert ph[1] == 1.0 and dph[1] == eps
+
+
+def _mp_phi(k1, k2, k3, eps, s):
+    """(phi, phi') at s to 30 digits by mpmath.quad; needs k2 != 0 and (k1+k3)^2 > 4 k2.
+
+    phi'' = (k1 + k2 s^2) / (1 + (k1+k3) s^2 + k2 s^4) * f(s), where
+    f(s) = exp(-int_0^{s^2} (k1 + k2 u) / (2 (1 + (k1+k3) u + k2 u^2)) du) is
+    written by partial fractions over the two real roots of the quadratic.
+    """
+    with mpmath.workdps(30):
+        k1, k2, k3, eps, s = map(mpmath.mpf, (k1, k2, k3, eps, s))
+        c = k1 + k3
+        rt = mpmath.sqrt(c * c - 4 * k2)
+        r1, r2 = (-c - rt) / (2 * k2), (-c + rt) / (2 * k2)
+        a1 = (k1 + k2 * r1) / (k2 * (r1 - r2))
+        a2 = (k1 + k2 * r2) / (k2 * (r2 - r1))
+
+        def w(x):
+            t = x * x
+            f = mpmath.exp(-(a1 * mpmath.log(1 - t / r1) + a2 * mpmath.log(1 - t / r2)) / 2)
+            return (k1 + k2 * t) / (1 + c * t + k2 * t * t) * f
+
+        # breakpoints graded towards s, where phi'' is steep close to b0
+        pts = [mpmath.mpf(0)] + [s * (1 - mpmath.mpf(10) ** -j) for j in range(1, 6)] + [s]
+        ph = 1 + eps * s + mpmath.quad(lambda u: (s - u) * w(u), pts)
+        dph = eps + mpmath.quad(w, pts)
+        return float(ph), float(dph)
+
+
+@pytest.mark.parametrize("k", [(1.0, 2.0, -5.0), (3.0, -1.0, -4.0)])
+def test_quadrature_matches_mpmath_up_to_the_edge(k):
+    spec = QuadraturePhi(OdeParams(*k, 0.3))
+    ss = spec.b0 * np.array([0.2, -0.5, 0.9, 0.99, 0.999, -0.9999, 0.9999])
+    ph, dph, _ = spec.values(ss)
+    for s, p, d in zip(ss, ph, dph):
+        p_ref, d_ref = _mp_phi(*k, 0.3, s)
+        assert abs(p - p_ref) <= spec.tol and abs(d - d_ref) <= spec.tol
+
+
+def test_quadrature_falls_back_to_quad_only_near_the_edge(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return quad(*args, **kwargs)
+
+    quad = phifuncs.quad
+    monkeypatch.setattr(phifuncs, "quad", counted)
+    for k in ((0.0, 1.0, 0.0), (2.0, 0.0, -3.0), (1.0, 2.0, -5.0), (-1.0, 0.1, 0.5)):
+        spec = QuadraturePhi(OdeParams(*k, 0.5))
+        smax = 0.9 * min(spec.b0, 1.0)
+        spec.values(np.linspace(-smax, smax, 301))
+    assert calls == []
+    spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
+    spec.values(0.9999 * spec.b0)
+    assert len(calls) >= 1
+
+
+def test_quadrature_blocks_do_not_change_values():
+    spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
+    ss = np.linspace(-0.999 * spec.b0, 0.999 * spec.b0, 2 * phifuncs._BLOCK + 7)
+    whole = spec.values(ss)
+    for step in (phifuncs._BLOCK, 97):
+        pieces = [spec.values(ss[i:i + step]) for i in range(0, ss.size, step)]
+        for got, part in zip(whole, zip(*pieces)):
+            assert np.array_equal(got, np.concatenate(part))
 
 
 def test_phi_from_quadrature_vs_taylor_oracle():
