@@ -44,7 +44,7 @@ from .phifuncs import (
     OdeParams,
     QuadraturePhi,
     SigmaSeriesPhi,
-    ode_residual,
+    ode_residual_of_values,
     phi_rp,
 )
 from .report import (
@@ -381,7 +381,7 @@ def phi_cmd(k_text, eps, family, sigma, r_text, p_text, grid, smax, quad_tol, ou
         if math.isfinite(spec.b0) else smax
     ss = np.linspace(-smax, smax, grid)
     ph, dph, ddph = spec.values(ss)
-    res = ode_residual(spec, params, ss) if params is not None else np.zeros_like(ss)
+    res = ode_residual_of_values(params, ss, ph, dph, ddph)
     margin = ph - ss * dph + (smax * smax - ss * ss) * ddph
     header = ["s", "phi", "dphi", "ddphi", "ode_residual", "margin"]
     rows = zip(ss, ph, dph, ddph, res, margin)

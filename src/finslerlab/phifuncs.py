@@ -11,7 +11,8 @@ Provides evaluation of phi, phi', phi'' for:
   factor f(s) = phi - s phi', which gives phi'' in closed form, plus a
   batched Gauss-Legendre rule on [0, 1] for all s at once; an embedded
   64- against 128-point error estimate sends the few points where the rule
-  is not accurate enough (close to the edge b0) to adaptive ``quad``,
+  is not accurate enough (close to the edge b0) to adaptive ``quad``; scipy
+  is imported on the first such fallback only, not with this module,
 * the sigma-family power series with product coefficients,
 * the r=0 power series, and the explicit (r,p) closed-form families.
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import jets
 from .errors import DomainError, PositivityError, UnsupportedFamilyError
@@ -51,6 +51,7 @@ __all__ = [
     "f_factor",
     "eta_core",
     "ode_residual",
+    "ode_residual_of_values",
     "regularity_check",
     "RegularityReport",
 ]
@@ -257,6 +258,18 @@ def phi_berwald_shifted() -> ExprPhi:
         return u * u / w
 
     return ExprPhi(expr, b0=math.inf, params=OdeParams(3.0, 0.0, -2.0, 2.0), name="berwald-shifted")
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Only the near-b0 fallback of ``QuadraturePhi`` needs scipy, and importing it
+    takes longer than importing the rest of finslerlab, so no command pays for
+    it at start-up.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 # Gauss-Legendre rules of _NODES and 2*_NODES points; their difference is the error estimate
@@ -566,7 +579,11 @@ def phi_explicit_family(r, p, eps: float, s):
 def ode_residual(phi: PhiSpec, k: OdeParams, s):
     """Residual of the phi-ODE at s; zero iff phi solves it there."""
     s = np.asarray(s, dtype=float)
-    ph, dph, ddph = phi.values(s)
+    return ode_residual_of_values(k, s, *phi.values(s))
+
+
+def ode_residual_of_values(k: OdeParams, s, ph, dph, ddph):
+    """The phi-ODE residual from (phi, phi', phi'') already evaluated at s."""
     lhs = (1.0 + (k.k1 + k.k3) * s * s + k.k2 * s ** 4) * ddph
     rhs = (k.k1 + k.k2 * s * s) * (ph - s * dph)
     return lhs - rhs

@@ -2,12 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from finslerlab.cli import main
+from finslerlab.phifuncs import QuadraturePhi
 from finslerlab.report import check_entry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -200,6 +207,66 @@ def test_phi_table_quadrature(runner):
     residuals = [abs(float(r[4])) for r in rows[1:]]
     assert max(residuals) < 1e-10
     assert len(rows) == 51
+
+
+@pytest.mark.parametrize("k", ["0,1,0", "1,2,-5"])
+def test_phi_evaluates_phi_once(runner, monkeypatch, k):
+    calls = []
+    values = QuadraturePhi.values
+
+    def counted(self, s):
+        calls.append(len(s))
+        return values(self, s)
+
+    monkeypatch.setattr(QuadraturePhi, "values", counted)
+    res = run(runner, ["phi", "--k", k, "--grid", "50"])
+    assert res.exit_code == 0
+    assert calls == [50]
+
+
+def fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports finslerlab from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_startup_and_funk_verify_do_not_load_scipy():
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from finslerlab.cli import main\n"
+        "print('scipy' in sys.modules)\n"
+        "args = ['verify', '--model', 'funk', '--samples', '20', '--geodesics', '2',\n"
+        "        '--no-timestamp']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        main(args, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    assert out == ["False", "0", "False"]
+
+
+def test_quadrature_fallback_loads_scipy_with_unchanged_values():
+    # the reference is the per-point quad formula the fallback has always used
+    out = fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from finslerlab.phifuncs import OdeParams, QuadraturePhi\n"
+        "spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))\n"
+        "s = 0.9999 * spec.b0\n"
+        "print('scipy' in sys.modules)\n"
+        "ph, dph, ddph = spec.values(s)\n"
+        "print('scipy' in sys.modules)\n"
+        "from scipy.integrate import quad\n"
+        "opts = dict(epsabs=spec.tol, epsrel=1e-13, limit=200)\n"
+        "i1, _ = quad(lambda u: (s - u) * spec._w(u), 0.0, s, **opts)\n"
+        "i2, _ = quad(spec._w, 0.0, s, **opts)\n"
+        "print(ph == 1.0 + 0.5 * s + i1, dph == 0.5 + i2, ddph == spec._w(np.array([s]))[0])\n"
+    )
+    assert out == ["False", "True", "True", "True", "True"]
 
 
 def test_phi_table_sigma_families(runner):

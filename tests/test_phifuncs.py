@@ -186,6 +186,17 @@ def test_quadrature_falls_back_to_quad_only_near_the_edge(monkeypatch):
     assert len(calls) >= 1
 
 
+def test_quad_wrapper_returns_scipy_quad_unchanged():
+    from scipy.integrate import quad
+
+    spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
+    s = 0.9999 * spec.b0
+    opts = dict(epsabs=spec.tol, epsrel=1e-13, limit=200)
+    for f in (spec._w, lambda u: (s - u) * spec._w(u)):
+        got = phifuncs.quad(f, 0.0, s, **opts)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in quad(f, 0.0, s, **opts)]
+
+
 def test_quadrature_blocks_do_not_change_values():
     spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
     ss = np.linspace(-0.999 * spec.b0, 0.999 * spec.b0, 2 * phifuncs._BLOCK + 7)
