@@ -34,7 +34,7 @@ from .geometry import (
     sample_ball,
     spray_riemann,
 )
-from .phifuncs import PhiSpec, regularity_check
+from .phifuncs import PhiSpec, phi_randers, regularity_check
 
 __all__ = [
     "ABMetric",
@@ -189,21 +189,6 @@ class NavigationData:
         return self.h.dim
 
 
-def navigation_to_randers(nav: NavigationData, x):
-    """Pointwise (a_ij, b_i) of the Randers metric solving the navigation problem."""
-    x = check_point(nav.h, x)
-    h0 = jets.asarray_value(nav.h.matrix(x))
-    wup = np.asarray(nav.w(x), dtype=float)
-    wlow = np.einsum("...ij,...j->...i", h0, wup)
-    w2 = np.einsum("...i,...i->...", wlow, wup)
-    if np.any(w2 >= 1.0):
-        raise DomainError(f"|W|_h = {float(np.max(np.sqrt(w2))):.6g} >= 1")
-    lam = 1.0 - w2
-    aij = (lam[..., None, None] * h0 + wlow[..., :, None] * wlow[..., None, :]) / (lam * lam)[..., None, None]
-    bi = -wlow / lam[..., None]
-    return aij, bi
-
-
 def randers_to_navigation(alpha: MetricField, beta: OneFormField, x):
     """Pointwise (h_ij, W^i) navigation data of the Randers metric alpha + beta."""
     x = check_point(alpha, x)
@@ -220,19 +205,21 @@ def randers_to_navigation(alpha: MetricField, beta: OneFormField, x):
     return hij, wup
 
 
-def randers_from_navigation(nav: NavigationData, name: str = "") -> ABMetric:
-    """Field-level Randers metric from navigation data (jet-transparent)."""
-    from .phifuncs import phi_randers
-
+def _navigation_pair(nav: NavigationData, name: str):
+    """The (alpha, beta) fields of the Randers metric that solves the navigation problem."""
     n = nav.dim
 
     def wind(x):
-        """h_ij, W_i = h_ij W^j and lam = 1 - |W|_h^2."""
+        """h_ij, W_i = h_ij W^j and lam = 1 - |W|_h^2; |W|_h must stay below 1."""
         h = nav.h.matrix(x)
         wup = nav.w(x)
         wlow = (h * jets.row(wup)).sum(-1) if isinstance(h, jets.Jet) or isinstance(wup, jets.Jet) \
             else np.einsum("...ij,...j->...i", h, wup)
-        return h, wlow, 1.0 - jets.dot_last(wlow, wup)
+        w2 = jets.dot_last(wlow, wup)
+        val = jets.asarray_value(w2)
+        if np.any(val >= 1.0):
+            raise DomainError(f"|W|_h = {float(np.max(np.sqrt(val))):.6g} >= 1")
+        return h, wlow, 1.0 - w2
 
     def mat(x):
         h, wlow, lam = wind(x)
@@ -242,7 +229,19 @@ def randers_from_navigation(nav: NavigationData, name: str = "") -> ABMetric:
         _, wlow, lam = wind(x)
         return -wlow / jets.col(lam)
 
-    alpha = MetricField(n, mat, domain_radius=nav.h.domain_radius, name=f"{name}-alpha")
-    beta = OneFormField(n, cov, name=f"{name}-beta")
+    return (MetricField(n, mat, domain_radius=nav.h.domain_radius, name=f"{name}-alpha"),
+            OneFormField(n, cov, name=f"{name}-beta"))
+
+
+def navigation_to_randers(nav: NavigationData, x):
+    """Pointwise (a_ij, b_i) of the Randers metric solving the navigation problem."""
+    x = check_point(nav.h, x)
+    alpha, beta = _navigation_pair(nav, "")
+    return alpha.matrix(x), beta.covector(x)
+
+
+def randers_from_navigation(nav: NavigationData, name: str = "") -> ABMetric:
+    """Field-level Randers metric from navigation data (jet-transparent)."""
+    alpha, beta = _navigation_pair(nav, name)
     return ABMetric(alpha, beta, phi_randers(), name=name)
 

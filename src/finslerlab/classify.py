@@ -21,15 +21,12 @@ materialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from . import jets
-from .errors import PositivityError
 from .geometry import MetricField, OneFormField, pair_fields
-from .phifuncs import ExprPhi, OdeParams, PhiSpec, QuadraturePhi
+from .phifuncs import ExprPhi, OdeParams, PhiSpec, QuadraturePhi, require_positive
 
 __all__ = [
     "Quadruple",
@@ -53,38 +50,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    """(k1, k2, k3, eps): the data determining a normalized ODE solution."""
-
-    k1: float
-    k2: float
-    k3: float
-    eps: float = 0.0
-
-    def as_params(self) -> OdeParams:
-        return OdeParams(self.k1, self.k2, self.k3, self.eps)
-
-    @property
-    def is_randers_type(self) -> bool:
-        return abs(self.k2 - self.k1 * self.k3) <= _scale(self) * 1e-12
+# the group acts on the phi-ODE's own parameters; the name stays because finslerlab exports it
+Quadruple = OdeParams
 
 
-def _scale(q: Quadruple) -> float:
+def _scale(q: OdeParams) -> float:
     return 1.0 + q.k1 * q.k1 + q.k3 * q.k3 + abs(q.k2)
 
 
-def transform_g(u: float, q: Quadruple) -> Quadruple:
+def transform_g(u: float, q: OdeParams) -> OdeParams:
     """Parameter action of the stretch transform g_u; eps is unchanged."""
-    return Quadruple(q.k1 + u, q.k2 + (q.k1 + q.k3) * u + u * u, q.k3 + u, q.eps)
+    return OdeParams(q.k1 + u, q.k2 + (q.k1 + q.k3) * u + u * u, q.k3 + u, q.eps)
 
 
-def transform_h(v: float, q: Quadruple) -> Quadruple:
+def transform_h(v: float, q: OdeParams) -> OdeParams:
     """Parameter action of the rescale transform h_v; eps -> v*eps."""
     if v == 0:
         raise ValueError("v must be nonzero")
     v2 = v * v
-    return Quadruple(v2 * q.k1, v2 * v2 * q.k2, v2 * q.k3, v * q.eps)
+    return OdeParams(v2 * q.k1, v2 * v2 * q.k2, v2 * q.k3, v * q.eps)
 
 
 def transform_phi_g(u: float, phi: PhiSpec) -> PhiSpec:
@@ -94,10 +78,7 @@ def transform_phi_g(u: float, phi: PhiSpec) -> PhiSpec:
         w = jets.sqrt(1.0 + u * s * s)
         return w * phi.apply(s / w)
 
-    params = None
-    if phi.params is not None:
-        k = transform_g(u, Quadruple(phi.params.k1, phi.params.k2, phi.params.k3, phi.params.eps))
-        params = k.as_params()
+    params = transform_g(u, phi.params) if phi.params is not None else None
     return ExprPhi(expr, b0=phi.b0, eval_radius=phi.eval_radius, params=params,
                    name=f"g[{u:g}]({phi.name})")
 
@@ -110,10 +91,7 @@ def transform_phi_h(v: float, phi: PhiSpec) -> PhiSpec:
     def expr(s):
         return phi.apply(s * v)
 
-    params = None
-    if phi.params is not None:
-        k = transform_h(v, Quadruple(phi.params.k1, phi.params.k2, phi.params.k3, phi.params.eps))
-        params = k.as_params()
+    params = transform_h(v, phi.params) if phi.params is not None else None
     av = abs(v)
     return ExprPhi(expr, b0=phi.b0 / av, eval_radius=phi.eval_radius / av, params=params,
                    name=f"h[{v:g}]({phi.name})")
@@ -170,7 +148,7 @@ class InvariantSignature:
         return f"{self.q_value:.12g}"
 
 
-def invariants(q: Quadruple) -> InvariantSignature:
+def invariants(q: OdeParams) -> InvariantSignature:
     """The Delta triple and tagged (p, q) of a quadruple."""
     s = q.k1 + q.k3
     d1 = s * s - 4.0 * q.k2
@@ -200,7 +178,7 @@ def invariants(q: Quadruple) -> InvariantSignature:
     return InvariantSignature(d1, d2, d3, p_tag, p_value, p_ratio, q_tag, q_value)
 
 
-def same_type(qa: Quadruple, qb: Quadruple, rtol: float = 1e-9) -> bool:
+def same_type(qa: OdeParams, qb: OdeParams, rtol: float = 1e-9) -> bool:
     """Equality of the complete invariants (tags exactly, values to rtol)."""
     sa, sb = invariants(qa), invariants(qb)
     if sa.p_tag is not sb.p_tag or sa.q_tag is not sb.q_tag:
@@ -240,14 +218,14 @@ class ReducedForm:
             raise ValueError(f"unknown reduced kind {self.kind!r}")
 
 
-def reduced_quadruple(form: ReducedForm, eps: float = 0.0) -> Quadruple:
+def reduced_quadruple(form: ReducedForm, eps: float = 0.0) -> OdeParams:
     """The parameter quadruple realizing the reduced equation."""
     s = form.sigma
     if form.kind == "d1-positive":
-        return Quadruple(2.0 * s, 0.0, -2.0 * s - 1.0, eps)
+        return OdeParams(2.0 * s, 0.0, -2.0 * s - 1.0, eps)
     if form.kind == "d1-zero":
-        return Quadruple(2.0 * s, 0.0, -2.0 * s, eps)
-    return Quadruple(0.0, 1.0, 2.0 * s, eps)
+        return OdeParams(2.0 * s, 0.0, -2.0 * s, eps)
+    return OdeParams(0.0, 1.0, 2.0 * s, eps)
 
 
 def reduced_form_p(form: ReducedForm):
@@ -268,7 +246,7 @@ def reduced_form_p(form: ReducedForm):
     return PTag.IMAG, -1.0 / s
 
 
-def reduce_quadruple(q: Quadruple):
+def reduce_quadruple(q: OdeParams):
     """Reduce to the canonical one-parameter equation; returns (form, recipe).
 
     The recipe is a tuple of ('g', u) / ('h', v) steps whose left-to-right
@@ -304,7 +282,7 @@ def reduce_quadruple(q: Quadruple):
     return form, tuple(recipe)
 
 
-def apply_recipe(recipe, q: Quadruple) -> Quadruple:
+def apply_recipe(recipe, q: OdeParams) -> OdeParams:
     """Apply a reduce() recipe left-to-right."""
     for kind, val in recipe:
         q = transform_g(val, q) if kind == "g" else transform_h(val, q)
@@ -325,7 +303,7 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
     if form.kind == "d1-positive":
         def alpha_of(av, bv, t):
             lam = 1.0 - t
-            _pos(lam, "1 - bbar^2")
+            require_positive(lam, "1 - bbar^2")
             outer = jets.outer(bv, bv)
             return jets.e2(jets.power(lam, -2.0 * s - 1.0)) * (av + outer / jets.e2(lam))
 
@@ -350,7 +328,7 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
 
     def alpha_of(av, bv, t):
         d = 1.0 + 2.0 * s * t + t * t
-        _pos(d, "1 + 2 sigma bbar^2 + bbar^4")
+        require_positive(d, "1 + 2 sigma bbar^2 + bbar^4")
         coef = (2.0 * s + t) / d
         outer = jets.outer(bv, bv)
         pref = prefactor(t) * jets.power(d, -0.25)
@@ -363,12 +341,6 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
     return pair_fields(abar, bbar, alpha_of, beta_of, tag)
 
 
-def _pos(v, label):
-    val = jets.asarray_value(v)
-    if np.any(val <= 0.0):
-        raise PositivityError(f"{label} lost positivity")
-
-
 def reversibilize(phi: PhiSpec):
     """(phi - phi'(0) s, -phi'(0)): the even representative and its 1-form coefficient.
 
@@ -376,26 +348,13 @@ def reversibilize(phi: PhiSpec):
     returned even phi; it satisfies the same ODE and the same regularity
     inequality (phi - s phi' and phi'' are unchanged).
     """
-    c = float(phi.dphi(0.0))
+    c = float(phi.values(0.0)[1])
     if isinstance(phi, QuadraturePhi):
-        k = phi.params
-        even = QuadraturePhi(OdeParams(k.k1, k.k2, k.k3, 0.0), tol=phi.tol)
-    else:
-        base = phi
-
-        class _Even(PhiSpec):
-            b0 = base.b0
-            eval_radius = base.eval_radius
-            name = f"even({base.name})"
-            params = (OdeParams(base.params.k1, base.params.k2, base.params.k3, 0.0)
-                      if base.params is not None else None)
-
-            def values(self, sv):
-                p, dp, ddp = base.values(sv)
-                sv = np.asarray(sv, dtype=float)
-                return p - c * sv, dp - c, ddp
-
-        even = _Even()
+        # the exact even solution, not the odd part subtracted from a quadrature
+        return QuadraturePhi(replace(phi.params, eps=0.0), tol=phi.tol), -c
+    params = replace(phi.params, eps=0.0) if phi.params is not None else None
+    even = ExprPhi(lambda s: phi.apply(s) - c * s, b0=phi.b0, eval_radius=phi.eval_radius,
+                   params=params, name=f"even({phi.name})")
     return even, -c
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .abmetric import assemble
 from .classify import (
-    Quadruple,
     circle_coords,
     invariants,
     reduce_quadruple,
@@ -45,6 +44,9 @@ from .phifuncs import (
     QuadraturePhi,
     SigmaSeriesPhi,
     ode_residual_of_values,
+    phi_berwald,
+    phi_randers,
+    phi_riemannian,
     phi_rp,
 )
 from .report import (
@@ -67,7 +69,12 @@ def _parse_numbers(text: str, option: str, count: int) -> list[float]:
 
 
 def _parse_k(text: str) -> tuple[float, float, float]:
-    return tuple(_parse_numbers(text, "--k", 3))
+    k1, k2, k3 = _parse_numbers(text, "--k", 3)
+    # the scale of the phi-ODE's zero tests; a product, since ** raises OverflowError
+    scale = 1.0 + abs(k1) + abs(k3)
+    if not math.isfinite(scale * scale + abs(k2)):
+        raise click.UsageError(f"--k {text!r} is too large: (1+|k1|+|k3|)^2 + |k2| overflows")
+    return k1, k2, k3
 
 
 def _finite(ctx, param, value):
@@ -76,21 +83,28 @@ def _finite(ctx, param, value):
     return value
 
 
+# the phi that --model selects for a custom --alpha-expr/--beta-expr pair; funk's is 1 + s
+_CUSTOM_PHI = {"funk": phi_randers, "randers": phi_randers, "berwald": phi_berwald,
+               "riemannian": phi_riemannian}
+
+
 def _build(model, dim, sigma, eps, mu, lam, alpha_expr, beta_expr):
     if (alpha_expr or beta_expr) and not (alpha_expr and beta_expr):
         raise click.UsageError("--alpha-expr and --beta-expr must be given together")
+    if alpha_expr and model not in _CUSTOM_PHI:
+        raise click.UsageError(f"--model {model!r} names no phi for a custom pair; "
+                               f"choose from {', '.join(_CUSTOM_PHI)}")
     try:
         if alpha_expr:
-            from .phifuncs import phi_berwald, phi_randers, phi_riemannian
-
             alpha = metric_from_exprs(alpha_expr, dim)
             beta = oneform_from_exprs(beta_expr, dim)
-            phi = {"randers": phi_randers, "berwald": phi_berwald,
-                   "riemannian": phi_riemannian}.get(model, phi_randers)()
-            return assemble(alpha, beta, phi, name="custom")
+            return assemble(alpha, beta, _CUSTOM_PHI[model](), name="custom")
         return build_model(model, dim, sigma=sigma, eps=eps, mu=mu, lam=lam)
     except (ValueError, FinslerError) as exc:
         raise click.UsageError(str(exc))
+    except OverflowError:
+        # only family-sigma's k = (2 sigma, 0, -2 sigma - 1) reaches a float power
+        raise click.UsageError(f"--sigma {sigma:g} is too large: the phi-ODE parameters overflow")
 
 
 def _geodesics(m, xs, ys, stop_radius, step, max_steps):
@@ -111,7 +125,17 @@ def main():
     """Numerical toolkit for projectively flat (alpha,beta)-metrics."""
 
 
-_common = [
+def _options(*opts):
+    """One decorator applying ``opts`` in order, as stacked decorator lines would."""
+    def add(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+
+    return add
+
+
+_add_common = _options(
     click.option("--dim", default=3, show_default=True, help="Patch dimension."),
     click.option("--seed", default=0, show_default=True, help="RNG seed."),
     click.option("--tol", default=1e-6, show_default=True, callback=_finite,
@@ -119,13 +143,25 @@ _common = [
     click.option("--out", default=None, help="Write the JSON report here (default stdout)."),
     click.option("--no-timestamp", is_flag=True,
                  help="Omit timestamp and timing for byte-stable reports."),
-]
+)
 
 
-def _add_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _model_options(default_model):
+    """--model and the parameters that build_model and a custom pair take."""
+    return _options(
+        click.option("--model", default=default_model, show_default=True,
+                     help=f"One of {', '.join(MODEL_NAMES)}; with --alpha-expr/--beta-expr, "
+                          f"the phi: {', '.join(_CUSTOM_PHI)}."),
+        click.option("--sigma", default=1.0, show_default=True, callback=_finite,
+                     help="Family parameter sigma."),
+        click.option("--eps", default=2.0, show_default=True, callback=_finite, help="Slope phi'(0)."),
+        click.option("--mu", default=0.0, show_default=True, callback=_finite,
+                     help="Space-form curvature."),
+        click.option("--lam", default=0.3, show_default=True, callback=_finite,
+                     help="Conformal-form coefficient."),
+        click.option("--alpha-expr", default=None, help="Custom metric entries 'a11,..;..'."),
+        click.option("--beta-expr", default=None, help="Custom 1-form entries 'b1,..'."),
+    )
 
 
 _samples = click.option("--samples", default=100, show_default=True, type=click.IntRange(min=1),
@@ -133,17 +169,7 @@ _samples = click.option("--samples", default=100, show_default=True, type=click.
 
 
 @main.command()
-@click.option("--model", default="funk", show_default=True,
-              help=f"One of {', '.join(MODEL_NAMES)} (or used with --alpha-expr/--beta-expr).")
-@click.option("--sigma", default=1.0, show_default=True, callback=_finite,
-              help="Family parameter sigma.")
-@click.option("--eps", default=2.0, show_default=True, callback=_finite, help="Slope phi'(0).")
-@click.option("--mu", default=0.0, show_default=True, callback=_finite,
-              help="Space-form curvature.")
-@click.option("--lam", default=0.3, show_default=True, callback=_finite,
-              help="Conformal-form coefficient.")
-@click.option("--alpha-expr", default=None, help="Custom metric entries 'a11,..;..'.")
-@click.option("--beta-expr", default=None, help="Custom 1-form entries 'b1,..'.")
+@_model_options("funk")
 @click.option("--step", default=1e-3, show_default=True,
               type=click.FloatRange(min=0, max=0.5, min_open=True),
               help="Geodesic RK4 step; traces run min(1000, 1/step) steps, so at most 0.5.")
@@ -184,15 +210,15 @@ def verify(model, sigma, eps, mu, lam, alpha_expr, beta_expr, step, n_geo,
 def classify(k_text, eps, out, no_timestamp):
     """Delta invariants, the complete pair (p, q), and the reduced equation."""
     k1, k2, k3 = _parse_k(k_text)
-    q = Quadruple(k1, k2, k3, eps)
+    q = OdeParams(k1, k2, k3, eps)
     sig = invariants(q)
     cx, cy = circle_coords(sig)
     if not all(math.isfinite(v) for v in (sig.d1, sig.d2, sig.d3, cx, cy)):
         raise click.UsageError(f"--k {k_text!r} is too large: its invariants overflow")
     named = {
-        "riemannian": Quadruple(0.0, 0.0, 0.0, 0.0),
-        "randers": Quadruple(0.0, 0.0, 0.0, 1.0),
-        "berwald_type": Quadruple(2.0, 0.0, -3.0, 2.0),
+        "riemannian": OdeParams(0.0, 0.0, 0.0, 0.0),
+        "randers": OdeParams(0.0, 0.0, 0.0, 1.0),
+        "berwald_type": OdeParams(2.0, 0.0, -3.0, 2.0),
     }
     result = {
         "quadruple": [k1, k2, k3, eps],
@@ -222,13 +248,7 @@ def classify(k_text, eps, out, no_timestamp):
 
 
 @main.command()
-@click.option("--model", default="funk", show_default=True)
-@click.option("--sigma", default=1.0, show_default=True, callback=_finite)
-@click.option("--eps", default=2.0, show_default=True, callback=_finite)
-@click.option("--mu", default=0.0, show_default=True, callback=_finite)
-@click.option("--lam", default=0.3, show_default=True, callback=_finite)
-@click.option("--alpha-expr", default=None)
-@click.option("--beta-expr", default=None)
+@_model_options("funk")
 @click.option("--batch", default=5, show_default=True, type=click.IntRange(min=1),
               help="Number of random traces.")
 @click.option("--x0", default=None, help="Start point 'x1,..,xn' (overrides --batch).")
@@ -287,13 +307,7 @@ def geodesics(model, sigma, eps, mu, lam, alpha_expr, beta_expr, batch, x0, y0,
 
 
 @main.command()
-@click.option("--model", default="berwald", show_default=True)
-@click.option("--sigma", default=1.0, show_default=True, callback=_finite)
-@click.option("--eps", default=2.0, show_default=True, callback=_finite)
-@click.option("--mu", default=0.0, show_default=True, callback=_finite)
-@click.option("--lam", default=0.3, show_default=True, callback=_finite)
-@click.option("--alpha-expr", default=None)
-@click.option("--beta-expr", default=None)
+@_model_options("berwald")
 @click.option("--k", "k_text", required=True, help="k1,k2,k3 driving the chain.")
 @_samples
 @_add_common

@@ -31,9 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import PositivityError
 from .geometry import MetricField, OneFormField, covariant_derivative, pair_fields, spray_riemann
-from .phifuncs import OdeParams, eta_core
+from .phifuncs import OdeParams, eta_core, require_positive
 
 __all__ = [
     "ScalarFactor",
@@ -91,16 +90,10 @@ class DeformChain:
     params: OdeParams
 
 
-def _check_pos(v, label):
-    val = jets.asarray_value(v)
-    if np.any(val <= 0.0):
-        raise PositivityError(f"{label} lost positivity (min {float(np.min(val)):.6g})")
-
-
 def _stretched(kappa: ScalarFactor):
     def alpha_of(av, bv, t):
         kv = kappa(t)
-        _check_pos(1.0 - kv * t, "1 - kappa b^2")
+        require_positive(1.0 - kv * t, "1 - kappa b^2")
         return av - jets.e2(kv) * jets.outer(bv, bv)
 
     return alpha_of
@@ -109,7 +102,7 @@ def _stretched(kappa: ScalarFactor):
 def _rescaled(nu: ScalarFactor):
     def beta_of(bv, t):
         nv = nu(t)
-        _check_pos(nv, "nu")
+        require_positive(nv, "nu")
         return jets.col(nv) * bv
 
     return beta_of
@@ -185,7 +178,7 @@ def eta_factor(k: OdeParams, bbar2):
 def _checked_d(s, k2, t, label):
     """D(t) = 1 + (k1+k3) t + k2 t^2, which must stay positive."""
     d = 1.0 + s * t + k2 * t * t
-    _check_pos(d, label)
+    require_positive(d, label)
     return d
 
 
@@ -239,7 +232,7 @@ def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
 
     def lam_of(t):
         if fwd:
-            _check_pos(1.0 - t, "1 - b^2")
+            require_positive(1.0 - t, "1 - b^2")
             return 1.0 - t
         return 1.0 + t
 
@@ -268,7 +261,7 @@ def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor
     t = cov.b2
     kv, kd = kappa(t), kappa.deriv(t)
     one = 1.0 - kv * t
-    _check_pos(one, "1 - kappa b^2")
+    require_positive(one, "1 - kappa b^2")
     g0 = spray_riemann(a, x, y)
     be = np.einsum("...i,...i->...", cov.b_low, y)
     rs_low = cov.r_i + cov.s_i

@@ -144,8 +144,8 @@ def space_form_metric(mu: float, n: int, working_radius: float = 1.0) -> MetricF
 
 
 def riemannian_ab(a: MetricField, name: str = "") -> ABMetric:
-    """Wrap a Riemannian metric as the (alpha,beta)-metric with phi = 1."""
-    return ABMetric(a, constant_oneform(np.zeros(a.dim)), phi_riemannian(),
+    """Wrap a Riemannian metric as the (alpha,beta)-metric with phi = 1, through the gate."""
+    return assemble(a, constant_oneform(np.zeros(a.dim)), phi_riemannian(),
                     name=name or f"riemannian({a.name})")
 
 

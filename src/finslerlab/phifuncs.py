@@ -67,11 +67,6 @@ class OdeParams:
     eps: float = 0.0
 
     @property
-    def delta1(self) -> float:
-        s = self.k1 + self.k3
-        return s * s - 4.0 * self.k2
-
-    @property
     def is_randers_type(self) -> bool:
         """True when k2 = k1*k3, i.e. the solutions are sqrt(1+k1 s^2)+C s."""
         return abs(self.k2 - self.k1 * self.k3) <= _zero_tol(self.k1, self.k2, self.k3)
@@ -108,10 +103,10 @@ def eta_core(k1, k2, k3, t):
         return jets.exp(t * (-k3 / 2.0))
     if case == 2:
         base = 1.0 + t * s
-        _require_positive(base, "1+(k1+k3)t")
+        require_positive(base, "1+(k1+k3)t")
         return jets.power(base, -k3 / (2.0 * s))
     d = 1.0 + t * s + t * t * k2
-    _require_positive(d, "1+(k1+k3)t+k2*t^2")
+    require_positive(d, "1+(k1+k3)t+k2*t^2")
     if case == 3:
         rt = math.sqrt(s * s - 4.0 * k2)
         # ((rt+s)/(rt-s)) (rt-s-2 k2 t)/(rt+s+2 k2 t), written so that t=0 gives 1 exactly
@@ -120,7 +115,7 @@ def eta_core(k1, k2, k3, t):
     if case == 4:
         # sqrt(2)/sqrt(2+s t) written as (1 + s t/2)^(-1/2) so that t=0 gives 1 exactly
         w = 1.0 + t * (s / 2.0)
-        _require_positive(w, "2+(k1+k3)t")
+        require_positive(w, "2+(k1+k3)t")
         return jets.exp((0.5 / w - 0.5) * ((k3 - k1) / s)) * jets.power(w, -0.5)
     rt = math.sqrt(4.0 * k2 - s * s)
     # np.arctan, not math.atan: the two can differ by 1 ulp, and then eta(0) != 1
@@ -128,17 +123,17 @@ def eta_core(k1, k2, k3, t):
     return jets.exp(ang * ((k1 - k3) / (2.0 * rt))) * jets.power(d, -0.25)
 
 
-def _require_positive(v, label):
+def require_positive(v, label):
+    """Raise PositivityError unless every value of ``v`` (an array or a jet) is > 0."""
     val = jets.asarray_value(v)
     if np.any(val <= 0.0):
-        raise PositivityError(f"factor {label} is nonpositive (min {float(np.min(val)):.6g})")
+        raise PositivityError(f"{label} lost positivity (min {float(np.min(val)):.6g})")
 
 
 def f_factor(k: OdeParams, s):
     """phi - s phi' for the normalized ODE solution; closed form, f(0)=1."""
-    if isinstance(s, jets.Jet):
-        return eta_core(k.k3, k.k2, k.k1, s * s)
-    s = np.asarray(s, dtype=float)
+    if not isinstance(s, jets.Jet):
+        s = np.asarray(s, dtype=float)
     return eta_core(k.k3, k.k2, k.k1, s * s)
 
 
@@ -189,16 +184,6 @@ class PhiSpec:
 
     def phi(self, s):
         return self.values(s)[0]
-
-    def dphi(self, s):
-        return self.values(s)[1]
-
-    def ddphi(self, s):
-        return self.values(s)[2]
-
-    @property
-    def eps(self) -> float:
-        return float(self.dphi(0.0))
 
     def apply(self, s):
         """phi at a plain array or a jet (chain rule through phi'', exact to order 2)."""
@@ -449,6 +434,14 @@ def _dfact(n: int) -> float:
     return out
 
 
+def _lead_tail(n: int):
+    """(2n-1)!!/(2n-2)!! and the coefficients (2n-1)!! (2k-2)!! / ((2n-2)!! (2k+1)!!), k < n."""
+    lead = _dfact(2 * n - 1) / _dfact(2 * n - 2)
+    tail = [(_dfact(2 * n - 1) * _dfact(2 * k - 2)) / (_dfact(2 * n - 2) * _dfact(2 * k + 1))
+            for k in range(1, n)]
+    return lead, tail
+
+
 def phi_rp(r, p, eps: float) -> PhiSpec:
     """Closed-form solution family phi_{r,p} for k1=1/p, k2=0, k3=(r-1)/p.
 
@@ -487,9 +480,7 @@ def phi_rp(r, p, eps: float) -> PhiSpec:
                 return acc
 
             return ExprPhi(expr, b0=b0, params=params, name=name)
-        lead = _dfact(2 * n - 1) / _dfact(2 * n - 2)
-        tail = [(_dfact(2 * n - 1) * _dfact(2 * k - 2)) / (_dfact(2 * n - 2) * _dfact(2 * k + 1))
-                for k in range(1, n)]
+        lead, tail = _lead_tail(n)
         if p > 0:
             # arctan family
             def expr(s, lead=lead, tail=tail, eps=eps):
@@ -516,9 +507,7 @@ def phi_rp(r, p, eps: float) -> PhiSpec:
         return ExprPhi(expr, b0=min(b0, 1.0), eval_radius=1.0, params=params, name=name)
 
     n = (m + 1) // 2
-    lead = _dfact(2 * n - 1) / _dfact(2 * n - 2)
-    tail = [(_dfact(2 * n - 1) * _dfact(2 * k - 2)) / (_dfact(2 * n - 2) * _dfact(2 * k + 1))
-            for k in range(1, n)]
+    lead, tail = _lead_tail(n)
     if r < 0 and p < 0:
         def expr(s, lead=lead, tail=tail, eps=eps):
             w = jets.sqrt(1.0 + s * s)

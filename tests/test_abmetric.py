@@ -236,6 +236,15 @@ def test_navigation_rejects_fast_wind():
         navigation_to_randers(nav, np.zeros(3))
 
 
+def test_navigation_field_rejects_fast_wind():
+    # |W| = 1.5: the Randers alpha would be indefinite at x = 0, so no field value is returned
+    fr = randers_from_navigation(NavigationData(euclidean_metric(2), lambda x: [1.5, 0.0]))
+    with pytest.raises(DomainError):
+        fr.alpha.matrix(np.zeros(2))
+    with pytest.raises(DomainError):
+        fr.beta.covector(np.zeros((4, 2)))
+
+
 def test_assemble_regularity_gate():
     # (1+s)^2 fails the convexity inequality once b can reach past 1; force
     # that with a 1-form whose norm exceeds 1 on the domain

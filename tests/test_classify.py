@@ -259,7 +259,7 @@ def test_canonical_pair_matches_inverse_chain():
     xs = rng.uniform(-0.5, 0.5, (10, 3))
     # (a) and (b) agree with the chain exactly
     for form in (ReducedForm("d1-positive", 1.0), ReducedForm("d1-zero", -1.0)):
-        k = reduced_quadruple(form).as_params()
+        k = reduced_quadruple(form)
         a1, b1 = canonical_pair(form, abar, bbar)
         a2, b2 = inverse_chain(abar, bbar, k)
         assert np.max(np.abs(a1.matrix(xs) - a2.matrix(xs))) < 1e-9
@@ -268,7 +268,7 @@ def test_canonical_pair_matches_inverse_chain():
     form = ReducedForm("d1-negative", 0.5)
     s = form.sigma
     const = math.exp(-s / (2 * math.sqrt(1 - s * s)) * math.atan(s / math.sqrt(1 - s * s)))
-    k = reduced_quadruple(form).as_params()
+    k = reduced_quadruple(form)
     a1, b1 = canonical_pair(form, abar, bbar)
     a2, b2 = inverse_chain(abar, bbar, k)
     assert np.max(np.abs(a1.matrix(xs) - const**2 * a2.matrix(xs))) < 1e-9
@@ -282,7 +282,7 @@ def test_canonical_pair_flatness_end_to_end():
     abar = space_form_metric(0.0, 3)
     bbar = closed_conformal_form(0.0, 0.3, None, 3)
     alpha, beta = canonical_pair(form, abar, bbar)
-    phi = QuadraturePhi(reduced_quadruple(form, 0.5).as_params(), tol=1e-12)
+    phi = QuadraturePhi(reduced_quadruple(form, 0.5), tol=1e-12)
     m = ABMetric(alpha, beta, phi)
     rng = np.random.default_rng(7)
     xs = sample_ball(rng, 3, 30, 0.5)

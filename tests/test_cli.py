@@ -101,6 +101,10 @@ def test_verify_custom_pair_fails_regularity_gate(runner):
     ["verify", "--geodesics", "-1"],
     ["verify", "--model", "example64", "--lam", "inf"],
     ["verify", "--model", "family-sigma", "--sigma", "nan"],
+    ["phi", "--k", "1e300,0,0"],
+    ["deform", "--model", "funk", "--k", "1e300,0,0"],
+    ["verify", "--model", "family-sigma", "--sigma", "1e300"],
+    ["verify", "--model", "space-form", "--mu", "1e13", "--samples", "50"],
 ])
 def test_bad_numeric_options_are_usage_errors(runner, args):
     # phi writes CSV and has no --no-timestamp, which would be a usage error of its own
@@ -115,6 +119,14 @@ def test_check_entry_non_finite_residual_fails_as_null():
         assert entry["pass"] is False and entry["max_residual"] is None
         json.dumps(entry, allow_nan=False)
     assert check_entry("hamel", 1e-9, 1e-6)["pass"] is True
+
+
+def test_custom_pair_model_must_name_a_phi(runner):
+    res = runner.invoke(main, [
+        "verify", "--model", "example64", "--dim", "2", "--alpha-expr", "1,0;0,1",
+        "--beta-expr", "0,0.1", "--samples", "20", "--geodesics", "0", "--no-timestamp"])
+    assert res.exit_code == 2
+    assert "funk, randers, berwald, riemannian" in res.output
 
 
 def test_verify_bad_model_usage_error(runner):

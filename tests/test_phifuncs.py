@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finslerlab import phifuncs
-from finslerlab.errors import DomainError, UnsupportedFamilyError
+from finslerlab.errors import DomainError, PositivityError, UnsupportedFamilyError
 from finslerlab.phifuncs import (
     OdeParams,
     QuadraturePhi,
@@ -74,6 +74,12 @@ def test_f_factor_initial_condition():
               OdeParams(-0.8638039251474137, 1.1386133193736638, 2.6202370644080677)):
         assert f_factor(k, 0.0) == 1.0
         assert eta_core(k.k1, k.k2, k.k3, 0.0) == 1.0
+
+
+def test_eta_core_names_the_factor_that_lost_positivity():
+    # k = (-4, 16, -4) is case 4; at t = 0.5, D = 1 but 1 + (k1+k3) t / 2 = -1
+    with pytest.raises(PositivityError, match=r"^2\+\(k1\+k3\)t lost positivity \(min -1\)$"):
+        eta_core(-4.0, 16.0, -4.0, np.array([0.1, 0.5]))
 
 
 def test_f_factor_case2_vs_quadrature():
