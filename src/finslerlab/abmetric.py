@@ -159,24 +159,6 @@ def spray_ab(m: ABMetric, x, y):
             + (psi * core)[..., None] * cov.b_up)
 
 
-def spray_defn(m: ABMetric, x, y):
-    """Spray straight from the definition G^i = g^{il}([F^2]_{x^k y^l} y^k - [F^2]_{x^l})/4.
-
-    Independent of the structured formula in :func:`spray_ab`; used to
-    cross-validate conventions on generic metrics.
-    """
-    x = check_point(m.alpha, x)
-    y = np.asarray(y, dtype=float)
-    n = m.dim
-    jx, jy = jets.seed_pair(x, y, order=2)
-    e = F_eval(m, jx, jy)
-    e = e * e  # F^2
-    hx_yl = e.h[..., :n, n:]  # [F^2]_{x^k y^l}
-    rhs = np.einsum("...kl,...k->...l", hx_yl, y) - e.g[..., :n]
-    gij, _ = fundamental_tensor(m, x, y)
-    return 0.25 * jets.vecsolve(gij, rhs)
-
-
 @dataclass(frozen=True)
 class NavigationData:
     """Zermelo navigation pair: a Riemannian sea h and a wind W with |W|_h < 1."""

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import jets
-from .geometry import MetricField, OneFormField, pair_fields
+from .deform import ZERO_FACTOR, ScalarFactor, chain_pair
+from .geometry import MetricField, OneFormField
 from .phifuncs import ExprPhi, OdeParams, PhiSpec, QuadraturePhi, require_positive
 
 __all__ = [
@@ -293,52 +294,40 @@ def canonical_pair(form: ReducedForm, abar: MetricField, bbar: OneFormField):
     """The canonical (alpha, beta) realization attached to a reduced form.
 
     (abar, bbar) must be a projectively flat metric with a closed conformal
-    1-form.  The d1<0 case follows the displayed normalization, which differs
-    from eta(0)=1 by the constant exp(-sigma/(2 sqrt(1-sigma^2)) *
+    1-form.  Each form is the ``chain_pair`` of its factor triple (kappa, rho,
+    nu) of T = ||bbar||^2.  The d1<0 case follows the displayed normalization,
+    which differs from eta(0)=1 by the constant exp(-sigma/(2 sqrt(1-sigma^2)) *
     arctan(sigma/sqrt(1-sigma^2))).
     """
     s = form.sigma
-    tag = f"canonical-{form.kind}"
 
     if form.kind == "d1-positive":
-        def alpha_of(av, bv, t):
-            lam = 1.0 - t
-            require_positive(lam, "1 - bbar^2")
-            outer = jets.outer(bv, bv)
-            return jets.e2(jets.power(lam, -2.0 * s - 1.0)) * (av + outer / jets.e2(lam))
+        def lam(t):
+            require_positive(1.0 - t, "1 - bbar^2")
+            return 1.0 - t
 
-        def beta_of(bv, t):
-            return jets.col(jets.power(1.0 - t, -s - 1.0)) * bv
+        kappa = ScalarFactor(lambda t: -1.0 / lam(t))
+        rho = ScalarFactor(lambda t: -(s + 0.5) * jets.log(lam(t)))
+        nu = ScalarFactor(lambda t: jets.power(lam(t), -s - 1.0))
+    elif form.kind == "d1-zero":
+        kappa = ZERO_FACTOR
+        rho = ScalarFactor(lambda t: s * t)
+        nu = ScalarFactor(lambda t: jets.exp(s * t))
+    else:
+        root = math.sqrt(1.0 - s * s)
 
-        return pair_fields(abar, bbar, alpha_of, beta_of, tag)
+        def d_of(t):
+            d = 1.0 + 2.0 * s * t + t * t
+            require_positive(d, "1 + 2 sigma bbar^2 + bbar^4")
+            return d
 
-    if form.kind == "d1-zero":
-        def alpha_of(av, bv, t):
-            return jets.e2(jets.exp(2.0 * s * t)) * av
+        def rho_of(t):
+            return -(s / (2.0 * root)) * jets.arctan((s + t) / root) - 0.25 * jets.log(d_of(t))
 
-        def beta_of(bv, t):
-            return jets.col(jets.exp(s * t)) * bv
-
-        return pair_fields(abar, bbar, alpha_of, beta_of, tag)
-
-    root = math.sqrt(1.0 - s * s)
-
-    def prefactor(t):
-        return jets.exp(-(s / (2.0 * root)) * jets.arctan((s + t) / root))
-
-    def alpha_of(av, bv, t):
-        d = 1.0 + 2.0 * s * t + t * t
-        require_positive(d, "1 + 2 sigma bbar^2 + bbar^4")
-        coef = (2.0 * s + t) / d
-        outer = jets.outer(bv, bv)
-        pref = prefactor(t) * jets.power(d, -0.25)
-        return jets.e2(pref * pref) * (av - jets.e2(coef) * outer)
-
-    def beta_of(bv, t):
-        d = 1.0 + 2.0 * s * t + t * t
-        return jets.col(prefactor(t) * jets.power(d, -0.75)) * bv
-
-    return pair_fields(abar, bbar, alpha_of, beta_of, tag)
+        kappa = ScalarFactor(lambda t: (2.0 * s + t) / d_of(t))
+        rho = ScalarFactor(rho_of)
+        nu = ScalarFactor(lambda t: jets.exp(rho_of(t)) / jets.sqrt(d_of(t)))
+    return chain_pair(abar, bbar, kappa, rho, nu)
 
 
 def reversibilize(phi: PhiSpec):

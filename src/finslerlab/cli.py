@@ -37,7 +37,7 @@ from .flatness import (
     straightness_deviation,
     verify_flatness,
 )
-from .geometry import covariant_derivative, norm_b
+from .geometry import closed_conformal_residual, covariant_derivative, norm_b
 from .models import MODEL_NAMES, build_model
 from .phifuncs import (
     OdeParams,
@@ -325,10 +325,7 @@ def deform(model, sigma, eps, mu, lam, alpha_expr, beta_expr, k_text,
         a2, b2 = inverse_chain(abar, bbar, k)
         rt_a = float(np.max(np.abs(a2.matrix(xs) - m.alpha.matrix(xs))))
         rt_b = float(np.max(np.abs(b2.covector(xs) - m.beta.covector(xs))))
-        cov = covariant_derivative(bbar, abar, xs)
-        closed = float(np.max(np.abs(cov.sij)))
-        c = np.einsum("...ij,...ij->...", cov.ainv, cov.rij) / dim
-        conf = float(np.max(np.abs(cov.rij - c[..., None, None] * cov.a0)))
+        closed, conf = closed_conformal_residual(covariant_derivative(bbar, abar, xs))
         norm_dev = float(np.max(np.abs(norm_b(abar, bbar, xs) - norm_b(m.alpha, m.beta, xs))))
     except PositivityError as exc:
         report = make_report("deform", {"model": m.name, "k": [k1, k2, k3]},

@@ -18,14 +18,17 @@ structure equations to a projectively flat metric with a closed conformal
 
 with eta = e^(-rho) evaluated by its five-case elementary form.
 
-All factors are functions of the norm taken w.r.t. the *input* pair of the
-respective operation; the chains below bake the full composite into a single
-closure so no staged-norm bookkeeping is needed.
+Every factor is a function of the norm w.r.t. the *input* pair, so a chain
+is the one composite of its factor triple (kappa, rho, nu) that ``chain_pair``
+builds; the forward, Berwald and ``classify.canonical_pair`` chains are such
+triples.  ``inverse_chain`` keeps its closed form: the example models evaluate
+it on every sweep and geodesic step, where ln(eta) then e^(2 rho) costs more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -82,12 +85,11 @@ ONE_FACTOR = ScalarFactor.constant(1.0, "one")
 
 @dataclass(frozen=True)
 class DeformChain:
-    """The factor triple of the standard chain for given ODE parameters."""
+    """The factor triple of a chain: stretch kappa, conformal rho, rescale nu."""
 
     kappa: ScalarFactor
     rho: ScalarFactor
     nu: ScalarFactor
-    params: OdeParams
 
 
 def _stretched(kappa: ScalarFactor):
@@ -127,47 +129,55 @@ def deform_rescale(a: MetricField, b: OneFormField, nu: ScalarFactor):
     return pair_fields(a, b, None, _rescaled(nu), "rescale")
 
 
-def chain_pair(a: MetricField, b: OneFormField, kappa: ScalarFactor,
-               rho: ScalarFactor, nu: ScalarFactor):
-    """Full stretch+conformal+rescale composite, all factors at the original b^2."""
+def _composite(a: MetricField, b: OneFormField, kappa: ScalarFactor, rho: ScalarFactor,
+               nu: ScalarFactor, tag: str):
     stretched = _stretched(kappa)
 
     def alpha_of(av, bv, t):
-        at = stretched(av, bv, t)
-        return jets.e2(jets.exp(2.0 * rho(t))) * at
+        # rho first: a factor's own domain guard then reports before the stretch guard
+        scale = jets.e2(jets.exp(2.0 * rho(t)))
+        return scale * stretched(av, bv, t)
 
-    return pair_fields(a, b, alpha_of, _rescaled(nu), "chain")
+    return pair_fields(a, b, alpha_of, _rescaled(nu), tag)
+
+
+def chain_pair(a: MetricField, b: OneFormField, kappa: ScalarFactor,
+               rho: ScalarFactor, nu: ScalarFactor):
+    """Full stretch+conformal+rescale composite, all factors at the original b^2."""
+    return _composite(a, b, kappa, rho, nu, "chain")
 
 
 # -- the standard factor choices ----------------------------------------------
 
 
 def standard_factors(k: OdeParams) -> DeformChain:
-    """kappa = -(k1+k3+k2 t), rho = -ln(eta), nu = e^rho sqrt(D)."""
+    """kappa = -(k1+k3+k2 t), rho = -ln(eta), nu = e^rho sqrt(D); rho and nu first check D > 0."""
     k1, k2, k3 = k.k1, k.k2, k.k3
     s = k1 + k3
+    label = "1+(k1+k3)b^2+k2 b^4"
 
     def kap(t):
         return -(s + k2 * t) + 0.0 * t
 
     def rho(t):
+        _checked_d(s, k2, t, label)
         return -jets.log(eta_core(k1, k2, k3, t))
 
     def nu(t):
-        d = _checked_d(s, k2, t, "1+(k1+k3)t+k2 t^2")
+        d = _checked_d(s, k2, t, label)
         return jets.sqrt(d) / eta_core(k1, k2, k3, t)
 
     return DeformChain(ScalarFactor(kap, "kappa"), ScalarFactor(rho, "rho"),
-                       ScalarFactor(nu, "nu"), k)
+                       ScalarFactor(nu, "nu"))
 
 
 def kappa_riccati_residual(k: OdeParams, t):
     """Residual of D(t) kappa' + kappa^2 + (k1+k3) kappa + k2 for the standard kappa."""
     t = np.asarray(t, dtype=float)
     s = k.k1 + k.k3
-    d = 1.0 + s * t + k.k2 * t * t
-    kap = -(s + k.k2 * t)
-    return d * (-k.k2) + kap * kap + s * kap + k.k2
+    kappa = standard_factors(k).kappa
+    kap = kappa(t)
+    return (1.0 + s * t + k.k2 * t * t) * kappa.deriv(t) + kap * kap + s * kap + k.k2
 
 
 def eta_factor(k: OdeParams, bbar2):
@@ -183,21 +193,12 @@ def _checked_d(s, k2, t, label):
 
 
 def forward_chain(a: MetricField, b: OneFormField, k: OdeParams):
-    """(abar, bbar): abar_ij = eta^{-2} (a_ij + (k1+k3+k2 b^2) b_i b_j), bbar = eta^{-1} sqrt(D) beta."""
-    k1, k2, k3 = k.k1, k.k2, k.k3
-    s = k1 + k3
-    label = "1+(k1+k3)b^2+k2 b^4"
+    """The composite of standard_factors(k).
 
-    def alpha_of(av, bv, t):
-        _checked_d(s, k2, t, label)
-        eta = eta_core(k1, k2, k3, t)
-        return (av + jets.e2(s + k2 * t) * jets.outer(bv, bv)) / jets.e2(eta * eta)
-
-    def beta_of(bv, t):
-        d = _checked_d(s, k2, t, label)
-        return jets.col(jets.sqrt(d) / eta_core(k1, k2, k3, t)) * bv
-
-    return pair_fields(a, b, alpha_of, beta_of, "fwd")
+    abar_ij = eta^{-2} (a_ij + (k1+k3+k2 b^2) b_i b_j),  bbar = eta^{-1} sqrt(D) beta.
+    """
+    ch = standard_factors(k)
+    return _composite(a, b, ch.kappa, ch.rho, ch.nu, "fwd")
 
 
 def inverse_chain(abar: MetricField, bbar: OneFormField, k: OdeParams):
@@ -220,10 +221,10 @@ def inverse_chain(abar: MetricField, bbar: OneFormField, k: OdeParams):
 
 
 def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
-    """The two-step quadratic-metric chain: conformal ln(1-b^2) plus rescale sqrt(1-b^2).
+    """The two-step quadratic-metric chain: kappa = 0, rho = ln(lam), nu = sqrt(lam).
 
-    forward:  abar_ij = (1-b^2)^2 a_ij,  bbar_i = sqrt(1-b^2) b_i   (needs b < 1)
-    inverse:  a_ij = (1+bbar^2)^2 abar_ij,  b_i = sqrt(1+bbar^2) bbar_i
+    forward:  lam = 1-b^2,   abar_ij = (1-b^2)^2 a_ij,  bbar_i = sqrt(1-b^2) b_i   (needs b < 1)
+    inverse:  lam = 1+bbar^2,  a_ij = (1+bbar^2)^2 abar_ij,  b_i = sqrt(1+bbar^2) bbar_i
     and the norms relate by (1-b^2)(1+bbar^2) = 1.
     """
     if direction not in ("forward", "inverse"):
@@ -236,14 +237,9 @@ def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
             return 1.0 - t
         return 1.0 + t
 
-    def alpha_of(av, bv, t):
-        lam = lam_of(t)
-        return jets.e2(lam * lam) * av
-
-    def beta_of(bv, t):
-        return jets.col(jets.sqrt(lam_of(t))) * bv
-
-    return pair_fields(a, b, alpha_of, beta_of, f"bw-{direction}")
+    rho = ScalarFactor(lambda t: jets.log(lam_of(t)), "ln(lam)")
+    nu = ScalarFactor(lambda t: jets.sqrt(lam_of(t)), "sqrt(lam)")
+    return _composite(a, b, ZERO_FACTOR, rho, nu, f"bw-{direction}")
 
 
 # -- stage-level predicted transforms ------------------------------------------
@@ -254,8 +250,13 @@ def berwald_chain(a: MetricField, b: OneFormField, direction: str = "forward"):
 # the deformed fields is the cross-check.
 
 
-def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor, x, y):
-    """(G~, b~_{i|j}) predicted from the stretch transformation formulas."""
+def _stage_predictions(a: MetricField, b: OneFormField, kappa: ScalarFactor,
+                       rho: ScalarFactor, nu: ScalarFactor, x, y):
+    """Yield (G, b_{i|j}) after the stretch, the conformal step and the rescale in turn.
+
+    One covariant pass serves all three.  rho and nu are read only when their stage
+    is reached, so a caller that stops earlier may pass None for them.
+    """
     cov = covariant_derivative(b, a, x)
     y = np.asarray(y, dtype=float)
     t = cov.b2
@@ -267,6 +268,9 @@ def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor
     rs_low = cov.r_i + cov.s_i
     rs_up = cov.r_up + cov.s_up
     r0s0 = cov.r0(y) + cov.s0(y)
+    bb = cov.b_low
+
+    # stretch: kappa(b^2)
     g = (g0
          - jets.col(kv / (2.0 * one)) * (jets.col(2.0 * one * be) * cov.si0_up(y)
                                          + jets.col(cov.r00(y)) * cov.b_up
@@ -274,48 +278,45 @@ def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor
          + jets.col(kd / (2.0 * one)) * (jets.col(one * be * be) * rs_up
                                          + jets.col(kv * cov.r * be * be) * cov.b_up
                                          - jets.col(2.0 * r0s0 * be) * cov.b_up))
-    bb = cov.b_low
     bij = (cov.bij
            + jets.e2(kv / one) * (jets.e2(t) * cov.rij
                                   + jets.outer(bb, cov.s_i)
                                   + jets.outer(cov.s_i, bb))
            - jets.e2(kd / one) * (jets.e2(cov.r) * bb[..., :, None] * bb[..., None, :]
                                   - jets.e2(t) * (jets.outer(bb, rs_low) + jets.outer(rs_low, bb))))
-    return g, bij
+    yield g, bij
+
+    # conformal scaling e^(rho(b^2))
+    rd = rho.deriv(t)
+    al2 = np.einsum("...ij,...i,...j->...", cov.a0, y, y)
+    g = g + jets.col(rd) * (jets.col(2.0 * r0s0) * y
+                            - jets.col(al2 - kv * be * be)
+                            * (rs_up + jets.col(kv * cov.r / one) * cov.b_up))
+    a_tilde = cov.a0 - jets.e2(kv) * bb[..., :, None] * bb[..., None, :]
+    bij = bij - jets.e2(2.0 * rd) * (jets.outer(bb, rs_low)
+                                     + jets.outer(rs_low, bb)
+                                     - jets.e2(cov.r / one) * a_tilde)
+    yield g, bij
+
+    # rescale nu(b^2): the spray is untouched
+    nv, nd = nu(t), nu.deriv(t)
+    yield g, jets.e2(nv) * bij + jets.e2(2.0 * nd) * bb[..., :, None] * rs_low[..., None, :]
+
+
+def predicted_after_stretch(a: MetricField, b: OneFormField, kappa: ScalarFactor, x, y):
+    """(G~, b~_{i|j}) predicted from the stretch transformation formulas."""
+    return next(_stage_predictions(a, b, kappa, None, None, x, y))
 
 
 def predicted_after_conformal(a: MetricField, b: OneFormField, kappa: ScalarFactor,
                               rho: ScalarFactor, x, y):
     """(G^, b^_{i|j}) after stretch + conformal scaling e^(rho(b^2))."""
-    g_t, bij_t = predicted_after_stretch(a, b, kappa, x, y)
-    cov = covariant_derivative(b, a, x)
-    y = np.asarray(y, dtype=float)
-    t = cov.b2
-    kv = kappa(t)
-    one = 1.0 - kv * t
-    rd = rho.deriv(t)
-    al2 = np.einsum("...ij,...i,...j->...", cov.a0, y, y)
-    be = np.einsum("...i,...i->...", cov.b_low, y)
-    rs_up = cov.r_up + cov.s_up
-    rs_low = cov.r_i + cov.s_i
-    r0s0 = cov.r0(y) + cov.s0(y)
-    g = g_t + jets.col(rd) * (jets.col(2.0 * r0s0) * y
-                              - jets.col(al2 - kv * be * be) * (rs_up + jets.col(kv * cov.r / one) * cov.b_up))
-    bb = cov.b_low
-    a_tilde = cov.a0 - jets.e2(kv) * bb[..., :, None] * bb[..., None, :]
-    bij = bij_t - jets.e2(2.0 * rd) * (jets.outer(bb, rs_low)
-                                       + jets.outer(rs_low, bb)
-                                       - jets.e2(cov.r / one) * a_tilde)
-    return g, bij
+    _, conformal = islice(_stage_predictions(a, b, kappa, rho, None, x, y), 2)
+    return conformal
 
 
 def predicted_after_rescale(a: MetricField, b: OneFormField, kappa: ScalarFactor,
                             rho: ScalarFactor, nu: ScalarFactor, x, y):
     """(G-, b-_{i|j}) after the full triple; the spray is untouched by rescaling."""
-    g_h, bij_h = predicted_after_conformal(a, b, kappa, rho, x, y)
-    cov = covariant_derivative(b, a, x)
-    t = cov.b2
-    nv, nd = nu(t), nu.deriv(t)
-    rs_low = cov.r_i + cov.s_i
-    bij = jets.e2(nv) * bij_h + jets.e2(2.0 * nd) * cov.b_low[..., :, None] * rs_low[..., None, :]
-    return g_h, bij
+    *_, rescaled = _stage_predictions(a, b, kappa, rho, nu, x, y)
+    return rescaled

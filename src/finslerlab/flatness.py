@@ -29,6 +29,7 @@ from .geometry import (
     MetricField,
     OneFormField,
     check_point,
+    christoffel,
     covariant_derivative,
     sample_ball,
     spray_riemann,
@@ -233,10 +234,11 @@ def structure_residual(a: MetricField, b: OneFormField, k: OdeParams, x):
     rng = np.random.default_rng(12345)
     ys = rng.standard_normal((8, n))
     ys /= np.linalg.norm(ys, axis=-1, keepdims=True)
+    gam = christoffel(a, x)
     res_g = np.zeros(np.shape(t))
     for yv in ys:
         y = np.broadcast_to(yv, x.shape)
-        g0 = spray_riemann(a, x, y)
+        g0 = 0.5 * np.einsum("...ijk,...j,...k->...i", gam, y, y)  # spray_riemann's G^i
         al2 = np.einsum("...ij,...i,...j->...", cov.a0, y, y)
         be = np.einsum("...i,...i->...", cov.b_low, y)
         v = g0 + (tau * (k.k1 * al2 + k.k2 * be * be))[..., None] * cov.b_up

@@ -208,6 +208,14 @@ def covariant_derivative(b: OneFormField, a: MetricField, x) -> CovariantData:
     return CovariantData(bij, rij, sij, b0, b_up, b2, a0, ainv, r_i, s_i, r, r_up, s_up)
 
 
+def closed_conformal_residual(cov: CovariantData):
+    """(max |s_ij|, max |r_ij - c a_ij|), c = a^{ij} r_ij / n: both are 0 iff b is closed conformal."""
+    n = cov.a0.shape[-1]
+    c = np.einsum("...ij,...ij->...", cov.ainv, cov.rij) / n
+    res = np.abs(cov.rij - c[..., None, None] * cov.a0)
+    return float(np.max(np.abs(cov.sij))), float(np.max(res))
+
+
 def norm_b(a: MetricField, b: OneFormField, x):
     """Norm of the 1-form, sqrt(a^{ij} b_i b_j)."""
     x = check_point(a, x)

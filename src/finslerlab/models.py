@@ -28,7 +28,13 @@ from . import jets
 from .abmetric import ABMetric, assemble
 from .deform import inverse_chain
 from .errors import DomainError, RegularityError
-from .geometry import MetricField, OneFormField, constant_oneform, covariant_derivative
+from .geometry import (
+    MetricField,
+    OneFormField,
+    closed_conformal_residual,
+    constant_oneform,
+    covariant_derivative,
+)
 from .phifuncs import (
     OdeParams,
     QuadraturePhi,
@@ -225,11 +231,7 @@ def closed_conformal_form(mu: float, lam: float, a, n: int,
         h = space_form_metric(mu, n)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-0.4, 0.4, size=(20, n)) * (h.domain_radius)
-        cd = covariant_derivative(form, h, pts)
-        smax = float(np.max(np.abs(cd.sij)))
-        h0 = cd.a0
-        c = np.einsum("...ij,...ij->...", np.linalg.inv(h0), cd.rij) / n
-        res = float(np.max(np.abs(cd.rij - c[..., None, None] * h0)))
+        smax, res = closed_conformal_residual(covariant_derivative(form, h, pts))
         if smax > 1e-8 or res > 1e-7:
             raise RegularityError(f"closed-conformal certification failed: |s|={smax:.2e}, conf res={res:.2e}")
     return form

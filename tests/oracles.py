@@ -13,8 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from finslerlab import jets
-from finslerlab.abmetric import F_eval
-from finslerlab.geometry import MetricField, OneFormField
+from finslerlab.abmetric import F_eval, fundamental_tensor
+from finslerlab.geometry import MetricField, OneFormField, check_point
 
 FD_STEP = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
 
@@ -59,6 +59,24 @@ def second_order_partials(m, x, y):
     fx = f.g[..., :n]
     mixed = f.h[..., :n, n:]  # F_{x^k y^l}
     return f.val, fx, mixed
+
+
+def spray_defn(m, x, y):
+    """Spray straight from the definition G^i = g^{il}([F^2]_{x^k y^l} y^k - [F^2]_{x^l})/4.
+
+    Independent of the structured formula in ``abmetric.spray_ab``; used to
+    cross-validate conventions on generic metrics.
+    """
+    x = check_point(m.alpha, x)
+    y = np.asarray(y, dtype=float)
+    n = m.dim
+    jx, jy = jets.seed_pair(x, y, order=2)
+    e = F_eval(m, jx, jy)
+    e = e * e  # F^2
+    hx_yl = e.h[..., :n, n:]  # [F^2]_{x^k y^l}
+    rhs = np.einsum("...kl,...k->...l", hx_yl, y) - e.g[..., :n]
+    gij, _ = fundamental_tensor(m, x, y)
+    return 0.25 * jets.vecsolve(gij, rhs)
 
 
 def fd_christoffel(a: MetricField, x):

@@ -14,7 +14,6 @@ from finslerlab.abmetric import (
     randers_from_navigation,
     randers_to_navigation,
     spray_ab,
-    spray_defn,
 )
 from finslerlab.errors import DomainError, RegularityError
 from finslerlab.geometry import (
@@ -28,7 +27,7 @@ from finslerlab.geometry import (
 from finslerlab.models import berwald_metric, funk_metric, space_form_metric, riemannian_ab
 from finslerlab.phifuncs import SigmaSeriesPhi, phi_berwald, phi_randers, phi_riemannian
 
-from oracles import random_oneform, random_spd_metric
+from oracles import random_oneform, random_spd_metric, spray_defn
 
 
 def test_F_funk_values():

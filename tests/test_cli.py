@@ -209,6 +209,7 @@ def test_deform_positivity_diagnostic(runner):
     rep = json.loads(res.output)
     assert rep["checks"][0]["name"] == "factor_positivity"
     assert "positivity" in rep["checks"][0]["diagnostic"]
+    assert "1+(k1+k3)b^2+k2 b^4" in rep["checks"][0]["diagnostic"]
 
 
 def test_phi_table_quadrature(runner):

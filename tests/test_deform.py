@@ -113,6 +113,42 @@ def test_standard_factors_quadratic_parameters():
     assert np.isclose(ch.nu(t), (1 - t) ** 2)
 
 
+def test_one_covariant_pass_per_stage_prediction(monkeypatch):
+    # every stage reuses one covariant_derivative; the spray of alpha adds the
+    # only other christoffel call
+    from finslerlab import deform, flatness, geometry
+
+    calls = {"covariant_derivative": 0, "christoffel": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    cov, gam = counted(geometry.covariant_derivative), counted(geometry.christoffel)
+    for mod in (deform, flatness):
+        monkeypatch.setattr(mod, "covariant_derivative", cov)
+    for mod in (geometry, flatness):  # flatness binds christoffel only once it calls it directly
+        monkeypatch.setattr(mod, "christoffel", gam, raising=False)
+
+    bw = berwald_metric(3)
+    k = OdeParams(2, 0, -3)
+    ch = standard_factors(k)
+    x = np.array([[0.2, -0.1, 0.3], [0.0, 0.25, -0.2]])
+    y = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.4]])
+    for run in (lambda: predicted_after_stretch(bw.alpha, bw.beta, ch.kappa, x, y),
+                lambda: predicted_after_conformal(bw.alpha, bw.beta, ch.kappa, ch.rho, x, y),
+                lambda: predicted_after_rescale(bw.alpha, bw.beta, ch.kappa, ch.rho, ch.nu, x, y)):
+        calls.update(covariant_derivative=0, christoffel=0)
+        run()
+        assert calls == {"covariant_derivative": 1, "christoffel": 2}
+    calls.update(covariant_derivative=0, christoffel=0)
+    flatness.structure_residual(bw.alpha, bw.beta, k, x)
+    assert calls == {"covariant_derivative": 1, "christoffel": 2}
+
+
 def test_kappa_riccati_residual_random():
     rng = np.random.default_rng(15)
     for _ in range(100):
@@ -157,6 +193,28 @@ def test_forward_chain_berwald_data():
         assert np.linalg.norm(np.cross(g, y)) < 1e-12
     s_res, c_res = conformality_residual(covariant_derivative(bb, ab, xs))
     assert s_res < 1e-12 and c_res < 1e-12
+
+
+@pytest.mark.parametrize("k", [OdeParams(2, 0, -2), OdeParams(2, 0, -3), OdeParams(3, 1, 0),
+                               OdeParams(3, 4, 1), OdeParams(0, 1, 0)])
+def test_forward_chain_matches_closed_form_display(k):
+    # abar = eta^-2 (a + (k1+k3+k2 b^2) b (x) b), bbar = eta^-1 sqrt(D) b; one k per eta case
+    rng = np.random.default_rng(24)
+    a = random_spd_metric(rng, 3)
+    b = random_oneform(rng, 3)
+    xs = rng.uniform(-0.4, 0.4, (20, 3))
+    a0 = a.matrix(xs)
+    b0 = b.covector(xs)
+    t = np.einsum("...ij,...i,...j->...", np.linalg.inv(a0), b0, b0)
+    s = k.k1 + k.k3
+    d = 1.0 + s * t + k.k2 * t * t
+    eta = eta_factor(k, t)
+    expect_a = (a0 + (s + k.k2 * t)[..., None, None] * b0[..., :, None] * b0[..., None, :]) \
+        / (eta * eta)[..., None, None]
+    expect_b = (np.sqrt(d) / eta)[..., None] * b0
+    ab, bb = forward_chain(a, b, k)
+    assert np.max(np.abs(ab.matrix(xs) - expect_a)) < 1e-13
+    assert np.max(np.abs(bb.covector(xs) - expect_b)) < 1e-13
 
 
 def test_forward_chain_zero_form():
