@@ -98,12 +98,15 @@ def projective_factor(m: ABMetric, x, y):
     return _residuals(*_mixed_partials(m, x, y), y)[2]
 
 
+def _spray_deviation(g, p, y):
+    """max_i |G^i - P y^i| per point."""
+    return np.max(np.abs(g - p[..., None] * y), axis=-1)
+
+
 def spray_proportionality_residual(m: ABMetric, x, y):
     """max_i |G^i - P y^i| with G from the structured spray formula."""
     p = projective_factor(m, x, y)
-    g = spray_ab(m, x, y)
-    y = np.asarray(y, dtype=float)
-    return np.max(np.abs(g - p[..., None] * y), axis=-1)
+    return _spray_deviation(spray_ab(m, x, y), p, np.asarray(y, dtype=float))
 
 
 # -- geodesics ---------------------------------------------------------------
@@ -281,7 +284,7 @@ def verify_flatness(m: ABMetric, samples: int = 100, seed: int = 0,
     ys = sample_sphere(rng, m.dim, samples)
     h, r, p = _residuals(*_mixed_partials(m, xs, ys), ys)
     g = spray_ab(m, xs, ys)
-    dev = np.max(np.abs(g - p[..., None] * ys), axis=-1) / (np.max(np.abs(g), axis=-1) + 1.0)
+    dev = _spray_deviation(g, p, ys) / (np.max(np.abs(g), axis=-1) + 1.0)
     mh, mr, md = float(np.max(h)), float(np.max(r)), float(np.max(dev))
     return FlatnessReport(mh, mr, md, samples, mh <= tolerance and mr <= tolerance
                           and md <= tolerance, tolerance)

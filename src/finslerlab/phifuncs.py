@@ -8,11 +8,10 @@ Provides evaluation of phi, phi', phi'' for:
       {1 + (k1+k3) s^2 + k2 s^4} phi'' = (k1 + k2 s^2) {phi - s phi'}
 
   with phi(0)=1, phi'(0)=eps, computed from the closed-form integrating
-  factor f(s) = phi - s phi', which gives phi'' in closed form, plus a
-  batched Gauss-Legendre rule on [0, 1] for all s at once; an embedded
-  64- against 128-point error estimate sends the few points where the rule
-  is not accurate enough (close to the edge b0) to adaptive ``quad``; scipy
-  is imported on the first such fallback only, not with this module,
+  factor f(s) = phi - s phi', which gives phi'' in closed form, plus
+  Gauss-Legendre panels for a block of s at once: the whole of [0, s]
+  first, and halved panels only where the 64- and 128-point rules disagree
+  (close to the edge b0),
 * the sigma-family power series with product coefficients,
 * the r=0 power series, and the explicit (r,p) closed-form families.
 
@@ -45,9 +44,6 @@ __all__ = [
     "phi_berwald",
     "phi_berwald_shifted",
     "phi_rp",
-    "phi_from_quadrature",
-    "phi_series_sigma",
-    "phi_explicit_family",
     "f_factor",
     "eta_core",
     "ode_residual",
@@ -245,22 +241,13 @@ def phi_berwald_shifted() -> ExprPhi:
     return ExprPhi(expr, b0=math.inf, params=OdeParams(3.0, 0.0, -2.0, 2.0), name="berwald-shifted")
 
 
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    Only the near-b0 fallback of ``QuadraturePhi`` needs scipy, and importing it
-    takes longer than importing the rest of finslerlab, so no command pays for
-    it at start-up.
-    """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
-
-
 # Gauss-Legendre rules of _NODES and 2*_NODES points; their difference is the error estimate
 _NODES = 64
-# s values per batched evaluation: caps the work arrays at _BLOCK x 2*_NODES floats
+# s values per quad call: caps one level's work arrays at _BLOCK x 2*_MAX_PANELS x 2*_NODES floats
 _BLOCK = 128
+# most panels in one point's partition of [0, s], as QUADPACK's limit: within about 1e-5 b0
+# of b0, rounding in w (its denominator cancels) keeps the two rules apart at every level
+_MAX_PANELS = 64
 
 
 @functools.cache
@@ -271,20 +258,63 @@ def _gauss_legendre(n: int):
     return t, 0.5 * w, 0.5 * w * (1.0 - t)
 
 
+def _rule(w, a, h, n):
+    """int_0^1 w(a + h t) dt and int_0^1 (1-t) w(a + h t) dt by the n-point rule, per panel."""
+    t, wd, wp = _gauss_legendre(n)
+    v = w(a[:, None] + h[:, None] * t)
+    return (v * wd).sum(axis=1), (v * wp).sum(axis=1)
+
+
+def quad(w, s, tol):
+    """int_0^s w(u) du and int_0^s (s-u) w(u) du for every s of a 1-d array.
+
+    A panel [a, a+h] of [0, s] (h has the sign of s) with d = int_0^1 w(a+ht) dt
+    and p = int_0^1 (1-t) w(a+ht) dt adds h d and h^2 p + h (s-a-h) d to the two
+    integrals.  Level 0 is the panel [0, s].  d and p are taken with the 64- and
+    the 128-point Gauss-Legendre rule, and the 128-point values are kept; a
+    panel whose rules differ by more than max(``tol``, 1e-13 |d|) in d, or the
+    same in p, is halved and both halves are taken again.  When halving would
+    give a point more than ``_MAX_PANELS`` panels, all of its panels are kept
+    as they stand.
+    """
+    n = s.size
+    dint = np.zeros(n)
+    pint = np.zeros(n)
+    owner = np.arange(n)
+    panels = np.ones(n, dtype=int)
+    a = np.zeros(n)
+    h = s
+    while owner.size:
+        d_lo, p_lo = _rule(w, a, h, _NODES)
+        d, p = _rule(w, a, h, 2 * _NODES)
+        # negated, so that a NaN estimate is halved too
+        halve = ~((np.abs(d_lo - d) <= np.maximum(tol, 1e-13 * np.abs(d)))
+                  & (np.abs(p_lo - p) <= np.maximum(tol, 1e-13 * np.abs(p))))
+        more = panels + np.bincount(owner[halve], minlength=n)
+        full = more > _MAX_PANELS
+        halve &= ~full[owner]
+        panels = np.where(full, panels, more)
+        keep = ~halve
+        dint += np.bincount(owner[keep], (h * d)[keep], n)
+        pint += np.bincount(owner[keep], (h * h * p + h * (s[owner] - (a + h)) * d)[keep], n)
+        half = 0.5 * h[halve]
+        owner = np.repeat(owner[halve], 2)
+        a = np.stack([a[halve], a[halve] + half], axis=1).ravel()
+        h = np.repeat(half, 2)
+    return dint, pint
+
+
 class QuadraturePhi(PhiSpec):
-    """ODE solution via the closed-form phi'' plus batched Gauss-Legendre quadrature.
+    """ODE solution via the closed-form phi'' plus Gauss-Legendre panels.
 
     phi''(s) = w(s) = (k1 + k2 s^2) / (1 + (k1+k3) s^2 + k2 s^4) * f(s) exactly, so
 
-        phi'(s) = eps + s int_0^1 w(s t) dt
-        phi(s)  = 1 + eps*s + s^2 int_0^1 (1-t) w(s t) dt.
+        phi'(s) = eps + int_0^s w(u) du
+        phi(s)  = 1 + eps*s + int_0^s (s-u) w(u) du.
 
-    Both integrals are taken for all s at once, in blocks of ``_BLOCK`` points,
-    with the 64- and the 128-point Gauss-Legendre rule; the 128-point value is
-    returned.  Where the two rules differ by more than max(``tol``, 1e-13 *
-    |integral|) in either integral, which happens only close to ``b0``, that
-    point is recomputed by adaptive ``quad`` on [0, s] (absolute tolerance
-    ``tol``).  s = 0 gives phi = 1 and phi' = eps exactly.
+    ``quad`` takes both integrals for ``_BLOCK`` points at a time, with absolute
+    tolerance ``tol`` per unit length of panel; away from ``b0`` the whole
+    interval [0, s] passes at once.  s = 0 gives phi = 1 and phi' = eps exactly.
     """
 
     def __init__(self, params: OdeParams, tol: float = 1e-12):
@@ -302,37 +332,17 @@ class QuadraturePhi(PhiSpec):
         den = 1.0 + (k.k1 + k.k3) * s * s + k.k2 * s ** 4
         return num / den * f_factor(k, s)
 
-    def _gauss(self, s, n):
-        """int_0^1 w(s t) dt and int_0^1 (1-t) w(s t) dt by the n-point rule, per s."""
-        t, wd, wp = _gauss_legendre(n)
-        w = self._w(s[:, None] * t)
-        return (w * wd).sum(axis=1), (w * wp).sum(axis=1)
-
-    def _block(self, s):
-        eps = self.params.eps
-        d_lo, p_lo = self._gauss(s, _NODES)
-        d, p = self._gauss(s, 2 * _NODES)
-        dph = eps + s * d
-        ph = 1.0 + eps * s + s * s * p
-        # negated, so that a NaN estimate also falls back
-        bad = ~((np.abs(d_lo - d) <= np.maximum(self.tol, 1e-13 * np.abs(d)))
-                & (np.abs(p_lo - p) <= np.maximum(self.tol, 1e-13 * np.abs(p))))
-        for i in np.flatnonzero(bad):
-            si = s[i]
-            i1, _ = quad(lambda u: (si - u) * self._w(u), 0.0, si,
-                         epsabs=self.tol, epsrel=1e-13, limit=200)
-            i2, _ = quad(self._w, 0.0, si, epsabs=self.tol, epsrel=1e-13, limit=200)
-            ph[i] = 1.0 + eps * si + i1
-            dph[i] = eps + i2
-        return ph, dph
-
     def values(self, s):
         s = self._guard(s)
         flat = np.atleast_1d(s).ravel()
-        ph = np.empty_like(flat)
-        dph = np.empty_like(flat)
+        dint = np.empty_like(flat)
+        pint = np.empty_like(flat)
         for lo in range(0, flat.size, _BLOCK):
-            ph[lo:lo + _BLOCK], dph[lo:lo + _BLOCK] = self._block(flat[lo:lo + _BLOCK])
+            dint[lo:lo + _BLOCK], pint[lo:lo + _BLOCK] = quad(self._w, flat[lo:lo + _BLOCK],
+                                                              self.tol)
+        eps = self.params.eps
+        ph = 1.0 + eps * flat + pint
+        dph = eps + dint
         ddph = self._w(flat)
         shape = np.shape(s)
         return ph.reshape(shape), dph.reshape(shape), ddph.reshape(shape)
@@ -544,25 +554,6 @@ def phi_rp(r, p, eps: float) -> PhiSpec:
 
     ev = 1.0 if delta < 0 else math.inf
     return ExprPhi(expr, b0=min(b0, ev), eval_radius=ev, params=params, name=name)
-
-
-# -- spec-level functional wrappers -------------------------------------------
-
-
-def phi_from_quadrature(k: OdeParams, eps: float, s, tol: float = 1e-12):
-    """(phi, phi', phi'') of the ODE solution with phi(0)=1, phi'(0)=eps at s."""
-    spec = QuadraturePhi(OdeParams(k.k1, k.k2, k.k3, eps), tol=tol)
-    return spec.values(s)
-
-
-def phi_series_sigma(sigma: float, eps: float, s):
-    """phi_sigma(s) by the product-coefficient power series."""
-    return SigmaSeriesPhi(sigma, eps).phi(s)
-
-
-def phi_explicit_family(r, p, eps: float, s):
-    """phi_{r,p}(s) by the matching closed form (UnsupportedFamilyError if none)."""
-    return phi_rp(r, p, eps).phi(s)
 
 
 def ode_residual(phi: PhiSpec, k: OdeParams, s):

@@ -262,24 +262,23 @@ def test_startup_and_funk_verify_do_not_load_scipy():
     assert out == ["False", "0", "False"]
 
 
-def test_quadrature_fallback_loads_scipy_with_unchanged_values():
-    # the reference is the per-point quad formula the fallback has always used
+def test_phi_edge_and_example64_verify_run_without_scipy():
+    # None in sys.modules makes any import of scipy raise ImportError
     out = fresh_python(
-        "import sys\n"
-        "import numpy as np\n"
-        "from finslerlab.phifuncs import OdeParams, QuadraturePhi\n"
-        "spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))\n"
-        "s = 0.9999 * spec.b0\n"
-        "print('scipy' in sys.modules)\n"
-        "ph, dph, ddph = spec.values(s)\n"
-        "print('scipy' in sys.modules)\n"
-        "from scipy.integrate import quad\n"
-        "opts = dict(epsabs=spec.tol, epsrel=1e-13, limit=200)\n"
-        "i1, _ = quad(lambda u: (s - u) * spec._w(u), 0.0, s, **opts)\n"
-        "i2, _ = quad(spec._w, 0.0, s, **opts)\n"
-        "print(ph == 1.0 + 0.5 * s + i1, dph == 0.5 + i2, ddph == spec._w(np.array([s]))[0])\n"
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from finslerlab.cli import main\n"
+        "for args in (['phi', '--k', '1,2,-5', '--eps', '0.5', '--smax', '0.9'],\n"
+        "             ['verify', '--model', 'example64', '--samples', '20',\n"
+        "              '--geodesics', '2', '--no-timestamp']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(args, standalone_mode=False)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code)\n"
     )
-    assert out == ["False", "True", "True", "True", "True"]
+    assert out == ["0", "0"]
 
 
 def test_phi_table_sigma_families(runner):

@@ -20,12 +20,9 @@ from finslerlab.phifuncs import (
     ode_residual,
     phi_berwald,
     phi_berwald_shifted,
-    phi_explicit_family,
-    phi_from_quadrature,
     phi_randers,
     phi_riemannian,
     phi_rp,
-    phi_series_sigma,
     positivity_radius,
     regularity_check,
 )
@@ -120,8 +117,7 @@ def test_f_factor_all_cases_vs_quadrature():
 
 
 def test_phi_from_quadrature_identifies_quadratic():
-    k = OdeParams(2.0, 0.0, -3.0)
-    ph, dph, ddph = phi_from_quadrature(k, 2.0, 0.4, tol=1e-13)
+    ph, dph, ddph = QuadraturePhi(OdeParams(2.0, 0.0, -3.0, 2.0), tol=1e-13).values(0.4)
     assert abs(ph - 1.96) < 1e-12
     assert abs(dph - 2.8) < 1e-12
     assert abs(ddph - 2.0) < 1e-13
@@ -130,9 +126,10 @@ def test_phi_from_quadrature_identifies_quadratic():
 def test_phi_from_quadrature_at_zero():
     for k in CASE_PARAMS.values():
         for eps in (0.7, -1.3):
-            ph, dph, _ = phi_from_quadrature(k, eps, 0.0)
+            spec = QuadraturePhi(OdeParams(k.k1, k.k2, k.k3, eps))
+            ph, dph, _ = spec.values(0.0)
             assert ph == 1.0 and dph == eps
-            ph, dph, _ = phi_from_quadrature(k, eps, np.array([-0.3, 0.0, 0.3]))
+            ph, dph, _ = spec.values(np.array([-0.3, 0.0, 0.3]))
             assert ph[1] == 1.0 and dph[1] == eps
 
 
@@ -157,7 +154,7 @@ def _mp_phi(k1, k2, k3, eps, s):
             return (k1 + k2 * t) / (1 + c * t + k2 * t * t) * f
 
         # breakpoints graded towards s, where phi'' is steep close to b0
-        pts = [mpmath.mpf(0)] + [s * (1 - mpmath.mpf(10) ** -j) for j in range(1, 6)] + [s]
+        pts = [mpmath.mpf(0)] + [s * (1 - mpmath.mpf(10) ** -j) for j in range(1, 9)] + [s]
         ph = 1 + eps * s + mpmath.quad(lambda u: (s - u) * w(u), pts)
         dph = eps + mpmath.quad(w, pts)
         return float(ph), float(dph)
@@ -166,41 +163,51 @@ def _mp_phi(k1, k2, k3, eps, s):
 @pytest.mark.parametrize("k", [(1.0, 2.0, -5.0), (3.0, -1.0, -4.0)])
 def test_quadrature_matches_mpmath_up_to_the_edge(k):
     spec = QuadraturePhi(OdeParams(*k, 0.3))
-    ss = spec.b0 * np.array([0.2, -0.5, 0.9, 0.99, 0.999, -0.9999, 0.9999])
+    ss = spec.b0 * np.array([0.2, -0.5, 0.9, 0.99, 0.999, -0.9999, 0.9999, 0.99999])
     ph, dph, _ = spec.values(ss)
     for s, p, d in zip(ss, ph, dph):
         p_ref, d_ref = _mp_phi(*k, 0.3, s)
         assert abs(p - p_ref) <= spec.tol and abs(d - d_ref) <= spec.tol
 
 
-def test_quadrature_falls_back_to_quad_only_near_the_edge(monkeypatch):
-    calls = []
+def _count_w_points(monkeypatch):
+    """Patch QuadraturePhi._w to record how many points each call evaluates."""
+    counts = []
+    w = QuadraturePhi._w
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return quad(*args, **kwargs)
+    def counted(self, s):
+        counts.append(np.size(s))
+        return w(self, s)
 
-    quad = phifuncs.quad
-    monkeypatch.setattr(phifuncs, "quad", counted)
+    monkeypatch.setattr(QuadraturePhi, "_w", counted)
+    return counts
+
+
+def test_quadrature_halves_panels_only_near_the_edge(monkeypatch):
+    counts = _count_w_points(monkeypatch)
+    rules = 3 * phifuncs._NODES  # the 64- and the 128-point rule on one panel
     for k in ((0.0, 1.0, 0.0), (2.0, 0.0, -3.0), (1.0, 2.0, -5.0), (-1.0, 0.1, 0.5)):
         spec = QuadraturePhi(OdeParams(*k, 0.5))
         smax = 0.9 * min(spec.b0, 1.0)
         spec.values(np.linspace(-smax, smax, 301))
-    assert calls == []
+    # level 0 only: one panel per point, plus phi'' at the points themselves
+    assert sum(counts) == 4 * 301 * (rules + 1)
+    counts.clear()
     spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
     spec.values(0.9999 * spec.b0)
-    assert len(calls) >= 1
+    assert sum(counts) > rules + 1
 
 
-def test_quad_wrapper_returns_scipy_quad_unchanged():
-    from scipy.integrate import quad
-
-    spec = QuadraturePhi(OdeParams(1.0, 2.0, -5.0, 0.5))
-    s = 0.9999 * spec.b0
-    opts = dict(epsabs=spec.tol, epsrel=1e-13, limit=200)
-    for f in (spec._w, lambda u: (s - u) * spec._w(u)):
-        got = phifuncs.quad(f, 0.0, s, **opts)
-        assert [float.hex(v) for v in got] == [float.hex(v) for v in quad(f, 0.0, s, **opts)]
+def test_quadrature_caps_the_panels_at_the_edge(monkeypatch):
+    counts = _count_w_points(monkeypatch)
+    # every halving adds one panel to a partition of at most _MAX_PANELS panels
+    per_point = (2 * phifuncs._MAX_PANELS - 1) * 3 * phifuncs._NODES + 1
+    for k in ((1.0, 2.0, -5.0), (3.0, -1.0, -4.0)):
+        spec = QuadraturePhi(OdeParams(*k, 0.3))
+        counts.clear()
+        vals = spec.values(np.array([-1.0, 1.0]) * (1.0 - 1e-12) * spec.b0)
+        assert all(np.all(np.isfinite(v)) for v in vals)
+        assert sum(counts) <= 2 * per_point
 
 
 def test_quadrature_blocks_do_not_change_values():
@@ -214,16 +221,16 @@ def test_quadrature_blocks_do_not_change_values():
 
 
 def test_phi_from_quadrature_vs_taylor_oracle():
-    k = OdeParams(0.0, 1.0, 0.0)  # the quartic-denominator example parameters
-    ph, _, _ = phi_from_quadrature(k, 0.5, 0.3, tol=1e-13)
+    k = OdeParams(0.0, 1.0, 0.0, 0.5)  # the quartic-denominator example parameters
+    ph = QuadraturePhi(k, tol=1e-13).phi(0.3)
     assert abs(ph - taylor_phi(k, 0.5, 0.3)) < 1e-8
 
 
 def test_phi_series_sigma_identities():
-    assert abs(phi_series_sigma(1.0, 2.0, 0.25) - 1.5625) < 1e-14
+    assert abs(SigmaSeriesPhi(1.0, 2.0).phi(0.25) - 1.5625) < 1e-14
     ss = np.linspace(-0.95, 0.95, 21)
     assert np.max(np.abs(SigmaSeriesPhi(0.0, 1.0).phi(ss) - (1 + ss))) < 1e-14
-    assert phi_series_sigma(2.0, 0.0, 0.0) == 1.0
+    assert SigmaSeriesPhi(2.0, 0.0).phi(0.0) == 1.0
 
 
 def test_phi_series_rejects_near_unit_s():
@@ -237,7 +244,7 @@ def test_explicit_family_polynomial():
     spec = phi_rp(Fraction(-1, 2), Fraction(1, 2), 0.8)
     assert np.max(np.abs(spec.phi(GRID) - (1 + 0.8 * GRID + GRID**2))) < 1e-14
     assert np.max(np.abs(ode_residual(spec, OdeParams(2, 0, -3), GRID))) < 1e-13
-    assert phi_explicit_family(Fraction(-1, 2), Fraction(1, 2), 0.8, 0.0) == 1.0
+    assert phi_rp(Fraction(-1, 2), Fraction(1, 2), 0.8).phi(0.0) == 1.0
 
 
 def test_explicit_family_arctan_vs_quadrature():
